@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..scenarios.directed import DirectedSequence
-from ..scenarios.regression import ScenarioSpec, _attach_monitors, _build_system
-from ..scenarios.sequences import sequence_for_profile
+from ..scenarios.regression import (
+    ScenarioSpec,
+    _attach_monitors,
+    _build_system,
+    spec_sequence,
+)
 from ..sysc.signal import _NOTHING
 from .errors import CheckpointStateError
 from .snapshot import Checkpoint, decode_signal_value, encode_signal_value
+from .state import module_state, restore_module_state
 
 #: KernelStats counters carried through a checkpoint (wall_seconds is a
 #: run fact of the *process*, not of the simulated state, and restarts
@@ -41,7 +45,7 @@ _STAT_FIELDS = (
 
 
 def _stateful_modules(system: Any) -> Dict[str, Any]:
-    """basename -> module, for everything with checkpoint_state()."""
+    """basename -> module, for every module with declared state."""
     modules: Dict[str, Any] = {system.arbiter.basename: system.arbiter}
     for master in system.masters:
         modules[master.basename] = master
@@ -133,11 +137,12 @@ def snapshot_system(
             for signal in sim.signals
         },
         modules={
-            name: module.checkpoint_state()
+            name: module_state(module)
             for name, module in _stateful_modules(system).items()
         },
         txn_next=system.txn_ids._next,
         letters=letters,
+        built_from=system.built_from,
     )
 
 
@@ -147,9 +152,12 @@ def restore_system(checkpoint: Checkpoint) -> Tuple[Any, Optional[Any]]:
     Returns ``(system, harness)`` -- the harness is None unless the
     spec runs with monitors.  The system is ready for more
     ``run_cycles`` calls and behaves wake-for-wake like the original.
+    A checkpoint of a forked run is rebuilt from the spec its system
+    was constructed from and re-armed with the fork's stimulus before
+    any module state is written back.
     """
     spec = checkpoint.spec
-    system = _build_system(spec)
+    system = _build_system(checkpoint.construction_spec())
     harness = _attach_monitors(spec, system) if spec.with_monitors else None
     sim = system.simulator
     # Park every process: the zero-length run executes the time-0
@@ -195,13 +203,15 @@ def restore_system(checkpoint: Checkpoint) -> Tuple[Any, Optional[Any]]:
         signal._last_change_delta = last_change
 
     # -- modules ---------------------------------------------------------------
+    if checkpoint.built_from is not None:
+        _rearm(system, spec, checkpoint.built_from)
     modules = _stateful_modules(system)
     if set(modules) != set(checkpoint.modules):
         raise CheckpointStateError(
             "module set mismatch; checkpoint does not match this spec"
         )
     for name, doc in checkpoint.modules.items():
-        modules[name].restore_state(doc)
+        restore_module_state(modules[name], doc)
 
     # -- bookkeeping ---------------------------------------------------------
     system.txn_ids._next = checkpoint.txn_next
@@ -251,12 +261,21 @@ def restore_scenario(
         )
     system, harness = restore_system(checkpoint)
     if spec.goals != base.goals or spec.profile != base.profile:
-        if spec.goals:
-            sequence: Any = DirectedSequence(spec.goals)
-        else:
-            sequence = sequence_for_profile(spec.profile)
-        system.rebind_sequence(sequence)
+        built_from = system.built_from or {
+            "goals": [goal.to_json() for goal in base.goals],
+            "profile": base.profile,
+        }
+        _rearm(system, spec, built_from)
     return system, harness
+
+
+def _rearm(
+    system: Any, spec: ScenarioSpec, built_from: Dict[str, Any]
+) -> None:
+    """Fork ``system`` onto ``spec``'s stimulus, remembering the
+    stimulus it was built with so a later capture stays restorable."""
+    system.rebind_sequence(spec_sequence(spec))
+    system.built_from = built_from
 
 
 def snapshot_scenario_run(spec: ScenarioSpec, cycles: int) -> Checkpoint:

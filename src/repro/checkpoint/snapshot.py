@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional
 
+from ..scenarios.directed import TransactionGoal
 from ..scenarios.regression import ScenarioSpec
 from .errors import (
     CheckpointFormatError,
@@ -82,7 +83,8 @@ class Checkpoint:
     clock: Dict[str, Any]
     #: signal name -> [typed value, last_change_delta]
     signals: Dict[str, List[Any]]
-    #: module basename -> that module's ``checkpoint_state()`` document
+    #: module basename -> that module's declared-state document
+    #: (:func:`repro.checkpoint.state.module_state`)
     modules: Dict[str, Dict[str, Any]]
     #: next transaction id the allocator would hand out
     txn_next: int
@@ -90,12 +92,31 @@ class Checkpoint:
     #: spec runs with monitors); restore replays them into fresh
     #: monitors, which makes the monitor state engine-agnostic
     letters: List[Dict[str, Any]] = field(default_factory=list)
+    #: forked captures only: the ``{"goals", "profile"}`` stimulus the
+    #: system was built with before a checkpoint fork re-armed it with
+    #: ``spec``'s (None -- and absent from the payload -- otherwise)
+    built_from: Optional[Dict[str, Any]] = None
+
+    def construction_spec(self) -> ScenarioSpec:
+        """The spec that rebuilds this checkpoint's system: ``spec``
+        itself, or for a forked capture ``spec`` with the stimulus the
+        system was built with (``spec``'s is re-armed on top)."""
+        if self.built_from is None:
+            return self.spec
+        return replace(
+            self.spec,
+            goals=tuple(
+                TransactionGoal.from_json(goal)
+                for goal in self.built_from["goals"]
+            ),
+            profile=self.built_from["profile"],
+        )
 
     # -- wire form --------------------------------------------------------------
 
     def payload(self) -> Dict[str, Any]:
         """The digested part of the wire form (plain JSON values)."""
-        return {
+        payload = {
             "spec": self.spec.to_json(),
             "cycles_run": self.cycles_run,
             "kernel": self.kernel,
@@ -105,6 +126,9 @@ class Checkpoint:
             "txn_next": self.txn_next,
             "letters": self.letters,
         }
+        if self.built_from is not None:
+            payload["built_from"] = self.built_from
+        return payload
 
     def canonical_payload(self) -> str:
         """Canonical JSON text: sorted keys, minimal separators."""
@@ -171,7 +195,9 @@ class Checkpoint:
                 },
                 txn_next=int(payload["txn_next"]),
                 letters=[dict(x) for x in payload["letters"]],
+                built_from=payload.get("built_from"),
             )
+            checkpoint.construction_spec()
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointFormatError(
                 f"malformed checkpoint payload: {exc}"

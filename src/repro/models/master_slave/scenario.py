@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ...scenarios.random_ import ScenarioRng
+from ...scenarios.master import SequenceMaster
 from ...scenarios.scoreboard import (
     DivergenceKind,
     FaultPlan,
@@ -33,10 +33,9 @@ from ...scenarios.scoreboard import (
     ScenarioSystem,
 )
 from ...scenarios.sequences import Sequence, SequenceItem, StimulusContext
-from ...sysc.bus import BusMode, BusStatus, Transaction, TxnIdAllocator
+from ...sysc.bus import BusMode, Transaction, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
-from ...sysc.module import Module
 from .asm_model import BLOCKING_BURST, MsSlave, build_master_slave_model
 from .systemc_model import MS_CLOCK_PERIOD_PS, MsArbiterModule, MsSignals, MsSlaveModule
 
@@ -44,6 +43,8 @@ from .systemc_model import MS_CLOCK_PERIOD_PS, MsArbiterModule, MsSignals, MsSla
 class FaultyMsSlave(MsSlaveModule):
     """A slave whose data path corrupts reads from the ``nth`` read on
     (bit 0 flipped) -- the classic single-event-upset injection."""
+
+    CHECKPOINT_FIELDS = MsSlaveModule.CHECKPOINT_FIELDS + ("reads_served",)
 
     def __init__(self, *args, corrupt_from_nth_read: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
@@ -58,30 +59,22 @@ class FaultyMsSlave(MsSlaveModule):
                 return value ^ 0x1
         return value
 
-    def checkpoint_state(self) -> Dict[str, Any]:
-        doc = super().checkpoint_state()
-        doc["reads_served"] = self.reads_served
-        return doc
 
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        super().restore_state(doc)
-        self.reads_served = doc["reads_served"]
-
-
-class MsSequenceMaster(Module):
+class MsSequenceMaster(SequenceMaster):
     """A Master/Slave initiator executing a sequence of items.
 
-    The protocol runs as an explicit phase machine: every wake-up on
-    the clock's posedge dispatches handlers keyed by ``self._phase``
-    until one *consumes* the cycle, so all mid-transaction state lives
-    in attributes instead of a generator frame.  That is what makes
-    the master snapshot/restorable (:meth:`checkpoint_state` /
-    :meth:`restore_state`): a generator's suspended locals cannot be
-    serialized, a phase tag and a handful of counters can.  Handlers
-    return True to consume the wake (one ``yield posedge`` in the old
-    generator), None to fall through to the next phase in the same
-    cycle, and False to park the process for good.
+    Adds the request/grant, slave-busy and word-transfer phases of the
+    Section 4.1 bus to the shared
+    :class:`~repro.scenarios.master.SequenceMaster` phase machine.
+    Blocking masters move ``BLOCKING_BURST`` words per item,
+    non-blocking masters one.
     """
+
+    ITEM_PHASE = "post"
+    CHECKPOINT_FIELDS = SequenceMaster.CHECKPOINT_FIELDS + (
+        "_slave_index", "_words", "_word", "_waits_left",
+        ("_read_back", "tuple"), "wait_cycles",
+    )
 
     def __init__(
         self,
@@ -93,91 +86,17 @@ class MsSequenceMaster(Module):
         slaves: List[MsSlaveModule],
         items: Iterator[SequenceItem],
         txn_ids: TxnIdAllocator,
-        drop_fault: Optional[FaultPlan] = None,
+        fault: Optional[FaultPlan] = None,
     ):
-        super().__init__(f"master{index}", sim)
-        self.index = index
+        super().__init__(index, sim, clock, wires, items, txn_ids, fault)
         self.blocking = blocking
-        self.clock = clock
-        self._posedge = clock.posedge_event
-        self.wires = wires
         self.slaves = slaves
-        self.items = items
-        self.txn_ids = txn_ids
-        self.drop_fault = drop_fault
-        self.records: List[Tuple[Transaction, SequenceItem]] = []
-        self.issued = 0
-        self.completed = 0
-        self.in_flight = False
-        self.done = False
-        self.words_moved = 0
         self.wait_cycles = 0
-        self.items_consumed = 0
-        # phase-machine registers (the whole suspended-protocol state)
-        self._phase = "fetch"
-        self._item: Optional[SequenceItem] = None
-        self._txn: Optional[Transaction] = None
-        self._idle_left = 0
         self._slave_index = 0
-        self._payload: Tuple[int, ...] = ()
         self._words = 0
         self._word = 0
         self._waits_left = 0
-        self._read_back: List[int] = []
-        self.thread(self.run)
-
-    def _next_item(self) -> Optional[SequenceItem]:
-        try:
-            item = next(self.items)
-        except StopIteration:
-            return None
-        self.items_consumed += 1
-        return item
-
-    def rebind_items(self, items: Iterator[SequenceItem]) -> None:
-        """Graft a fresh item stream onto a (possibly exhausted) master.
-
-        Checkpoint forks call this after restore: records and counters
-        stay (the scoreboard and FSM replay still see the whole run),
-        only the stimulus source is swapped.  A master parked in the
-        ``done`` phase wakes back into ``fetch`` on its next posedge.
-        """
-        self.items = items
-        self.items_consumed = 0
-        if self._phase == "done":
-            self.done = False
-            self._phase = "fetch"
-
-    def run(self):
-        self._dispatch()
-        posedge = self._posedge
-        while True:
-            yield posedge
-            self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Run phase handlers until one consumes the wake."""
-        handlers = self._PHASES
-        while handlers[self._phase](self) is None:
-            pass
-
-    def _phase_fetch(self) -> Optional[bool]:
-        item = self._next_item()
-        if item is None:
-            self.done = True
-            self._phase = "done"
-            return None
-        self._item = item
-        self._idle_left = item.idle
-        self._phase = "idle" if item.idle else "post"
-        return None
-
-    def _phase_idle(self) -> Optional[bool]:
-        if self._idle_left > 0:
-            self._idle_left -= 1
-            return True
-        self._phase = "post"
-        return None
+        self._read_back: Tuple[int, ...] = ()
 
     def _phase_post(self) -> Optional[bool]:
         item = self._item
@@ -223,7 +142,7 @@ class MsSequenceMaster(Module):
             return True
         busy.write(True)
         self.wires.transferring[self.index].write(True)
-        self._read_back = []
+        self._read_back = ()
         self._word = 0
         self._waits_left = self.slaves[self._slave_index].wait_states
         self._phase = "transfer"
@@ -243,7 +162,7 @@ class MsSequenceMaster(Module):
             address, self._payload[self._word] if item.is_write else None
         )
         if not item.is_write:
-            self._read_back.append(value)
+            self._read_back += (value,)
         self.words_moved += 1
         self._word += 1
         if self._word < self._words:
@@ -253,26 +172,12 @@ class MsSequenceMaster(Module):
         return True
 
     def _phase_finish(self) -> Optional[bool]:
-        item = self._item
-        txn = self._txn
-        assert item is not None and txn is not None
         self.wires.transferring[self.index].write(False)
         self.wires.slave_busy[self._slave_index].write(False)
         self.wires.owner.write(-1)
-        if not item.is_write:
-            txn.data = tuple(self._read_back)
-        txn.end_cycle = self.clock.cycle_count
-        txn.status = BusStatus.OK
-        self.completed += 1
-        self.in_flight = False
-        dropped = (
-            self.drop_fault is not None
-            and self.drop_fault.kind == "drop"
-            and self.drop_fault.unit == self.index
-            and self.completed == self.drop_fault.nth
-        )
-        if not dropped:
-            self.records.append((txn, item))
+        if not self._item.is_write:
+            self._txn.data = self._read_back
+        self._finish_transaction()
         self._phase = "gap"
         return None
 
@@ -280,88 +185,21 @@ class MsSequenceMaster(Module):
         self._phase = "fetch"
         return True
 
-    def _phase_done(self) -> Optional[bool]:
-        # sequence exhausted: the master idles but stays alive, so a
-        # checkpoint fork can graft a fresh item stream and restart it
-        return True
-
     _PHASES = {
-        "fetch": _phase_fetch,
-        "idle": _phase_idle,
+        **SequenceMaster.COMMON_PHASES,
         "post": _phase_post,
         "grant": _phase_grant,
         "busy": _phase_busy,
         "transfer": _phase_transfer,
         "finish": _phase_finish,
         "gap": _phase_gap,
-        "done": _phase_done,
     }
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Everything a fresh master needs to resume mid-protocol."""
-        return {
-            "phase": self._phase,
-            "item": self._item.to_json() if self._item is not None else None,
-            "txn": self._txn.to_json() if self._txn is not None else None,
-            "idle_left": self._idle_left,
-            "slave_index": self._slave_index,
-            "payload": list(self._payload),
-            "words": self._words,
-            "word": self._word,
-            "waits_left": self._waits_left,
-            "read_back": list(self._read_back),
-            "items_consumed": self.items_consumed,
-            "issued": self.issued,
-            "completed": self.completed,
-            "in_flight": self.in_flight,
-            "done": self.done,
-            "words_moved": self.words_moved,
-            "wait_cycles": self.wait_cycles,
-            "records": [
-                [txn.to_json(), item.to_json()] for txn, item in self.records
-            ],
-        }
-
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        """Adopt a :meth:`checkpoint_state` document.
-
-        The item iterator is replayed forward to the recorded
-        consumption count (items are derived deterministically from the
-        spec seed, so replaying the stream is exact and cheap), then
-        the in-flight item/transaction are overwritten from the wire
-        form for good measure.
-        """
-        while self.items_consumed < doc["items_consumed"]:
-            if self._next_item() is None:
-                break
-        self._phase = doc["phase"]
-        self._item = (
-            SequenceItem.from_json(doc["item"]) if doc["item"] else None
-        )
-        self._txn = Transaction.from_json(doc["txn"]) if doc["txn"] else None
-        self._idle_left = doc["idle_left"]
-        self._slave_index = doc["slave_index"]
-        self._payload = tuple(doc["payload"])
-        self._words = doc["words"]
-        self._word = doc["word"]
-        self._waits_left = doc["waits_left"]
-        self._read_back = list(doc["read_back"])
-        self.issued = doc["issued"]
-        self.completed = doc["completed"]
-        self.in_flight = doc["in_flight"]
-        self.done = doc["done"]
-        self.words_moved = doc["words_moved"]
-        self.wait_cycles = doc["wait_cycles"]
-        self.records = [
-            (Transaction.from_json(txn), SequenceItem.from_json(item))
-            for txn, item in doc["records"]
-        ]
 
 
 class MsScenarioSystem(ScenarioSystem):
     """Top level for one seeded Master/Slave scenario."""
+
+    RNG_SCOPE = "ms"
 
     def __init__(
         self,
@@ -403,50 +241,26 @@ class MsScenarioSystem(ScenarioSystem):
                         wait_states=j % 2,
                     )
                 )
-        root = ScenarioRng(seed, "ms")
-        self.masters: List[MsSequenceMaster] = []
-        for index in range(self.n_masters):
-            blocking = index < n_blocking
-            words = BLOCKING_BURST if blocking else 1
-            ctx = StimulusContext(
-                n_targets=n_slaves,
-                min_burst=words,
-                max_burst=words,
-                address_span=address_span,
+        streams = self._item_streams(sequence, self.RNG_SCOPE)
+        self.masters = [
+            MsSequenceMaster(
+                index, index < n_blocking, self.simulator, self.clock,
+                self.wires, self.slaves, items, self.txn_ids, fault=fault,
             )
-            items = sequence.for_unit(index).items(root.derive(f"master{index}"), ctx)
-            self.masters.append(
-                MsSequenceMaster(
-                    index, blocking, self.simulator, self.clock, self.wires,
-                    self.slaves, items, self.txn_ids,
-                    drop_fault=fault,
-                )
-            )
+            for index, items in enumerate(streams)
+        ]
         self.arbiter = MsArbiterModule(
             "arbiter", self.simulator, self.clock, self.wires
         )
 
-    def rebind_sequence(self, sequence: Sequence) -> None:
-        """Swap every master's stimulus source for a new sequence.
-
-        The checkpoint fork path: a restored system keeps its bus,
-        memory and scoreboard history but plays a *different* goal set
-        from here on.  Item streams re-derive from the system seed under
-        a distinct rng scope so forks are deterministic yet uncorrelated
-        with the original run's draws.
-        """
-        root = ScenarioRng(self.seed, "ms-fork")
-        for index, master in enumerate(self.masters):
-            words = BLOCKING_BURST if master.blocking else 1
-            ctx = StimulusContext(
-                n_targets=self.n_slaves,
-                min_burst=words,
-                max_burst=words,
-                address_span=self.address_span,
-            )
-            master.rebind_items(
-                sequence.for_unit(index).items(root.derive(f"master{index}"), ctx)
-            )
+    def _stimulus_context(self, index: int) -> StimulusContext:
+        words = BLOCKING_BURST if index < self.n_blocking else 1
+        return StimulusContext(
+            n_targets=self.n_slaves,
+            min_burst=words,
+            max_burst=words,
+            address_span=self.address_span,
+        )
 
     @property
     def blocking_flags(self) -> List[bool]:

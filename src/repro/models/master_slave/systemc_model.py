@@ -46,6 +46,10 @@ class MsSignals:
 class MsArbiterModule(Module):
     """Grants the bus to the lowest-index requesting master."""
 
+    #: the grant loop re-derives everything else from the wires each
+    #: posedge (see :mod:`repro.checkpoint.state`)
+    CHECKPOINT_FIELDS = ("grants",)
+
     def __init__(self, name: str, sim: Simulator, clock: Clock, wires: MsSignals):
         super().__init__(name, sim)
         self.clock = clock
@@ -69,21 +73,11 @@ class MsArbiterModule(Module):
                     self.grants += 1
                     break
 
-    def checkpoint_state(self) -> dict:
-        """Snapshot of the arbiter's inter-cycle state.
-
-        The grant loop re-derives everything from the wires each
-        posedge, so the only state to carry is the grant counter.
-        """
-        return {"grants": self.grants}
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self.grants = doc["grants"]
-
 
 class MsSlaveModule(Module):
     """A memory slave with configurable wait states."""
+
+    CHECKPOINT_FIELDS = (("memory", "memory"), "reads", "writes")
 
     def __init__(
         self,
@@ -112,20 +106,6 @@ class MsSlaveModule(Module):
         self.writes += 1
         self.memory[address] = data
         return data
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot of the memory array and access counters."""
-        return {
-            "memory": {str(k): v for k, v in self.memory.items()},
-            "reads": self.reads,
-            "writes": self.writes,
-        }
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self.memory = {int(k): v for k, v in doc["memory"].items()}
-        self.reads = doc["reads"]
-        self.writes = doc["writes"]
 
 
 class MsMasterModule(Module):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ...scenarios.random_ import ScenarioRng
+from ...scenarios.master import SequenceMaster
 from ...scenarios.scoreboard import (
     DivergenceKind,
     FaultPlan,
@@ -31,27 +31,29 @@ from ...scenarios.scoreboard import (
     ScenarioSystem,
 )
 from ...scenarios.sequences import Sequence, SequenceItem, StimulusContext
-from ...sysc.bus import BusMode, BusStatus, Transaction, TxnIdAllocator
+from ...sysc.bus import BusMode, Transaction, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
-from ...sysc.module import Module
 from ...sysc.signal import Signal
 from .asm_model import build_pci_model
 from .protocol import MAX_BURST_LENGTH, PCI_CLOCK_PERIOD_PS, PciCommand
 from .systemc_model import PciArbiterModule, PciSignals, PciTargetModule
 
 
-class PciSequenceMaster(Module):
+class PciSequenceMaster(SequenceMaster):
     """A PCI initiator executing a sequence of items.
 
-    Like :class:`~repro.models.master_slave.scenario.MsSequenceMaster`
-    the protocol is an explicit phase machine rather than a nest of
-    loops inside a generator: each posedge wake dispatches handlers
-    keyed by ``self._phase`` until one consumes the cycle, so the whole
-    suspended protocol (including mid-burst data phases and STOP#
-    back-off) lives in attributes and can be snapshotted/restored via
-    :meth:`checkpoint_state` / :meth:`restore_state`.
+    Adds the REQ#/GNT#/FRAME#/IRDY# phases, STOP# back-off and retry to
+    the shared :class:`~repro.scenarios.master.SequenceMaster` phase
+    machine; the whole suspended protocol, mid-burst data phases
+    included, lives in its declared registers.
     """
+
+    ITEM_PHASE = "build"
+    CHECKPOINT_FIELDS = SequenceMaster.CHECKPOINT_FIELDS + (
+        "_target", "_burst", "_words_left", "_waited", "_backoff_left",
+        "reads_completed", "retries",
+    )
 
     def __init__(
         self,
@@ -64,91 +66,17 @@ class PciSequenceMaster(Module):
         txn_ids: TxnIdAllocator,
         fault: Optional[FaultPlan] = None,
     ):
-        super().__init__(f"master{index}", sim)
-        self.index = index
-        self.clock = clock
-        self._posedge = clock.posedge_event
-        self.wires = wires
+        super().__init__(index, sim, clock, wires, items, txn_ids, fault)
         self.n_targets = n_targets
-        self.items = items
-        self.txn_ids = txn_ids
-        self.fault = fault
-        self.records: List[Tuple[Transaction, SequenceItem]] = []
-        self.issued = 0
-        self.completed = 0
         self.reads_completed = 0
-        self.in_flight = False
-        self.done = False
         self.retries = 0
-        self.words_moved = 0
         self.data_flag = Signal(False, f"master{index}_data", sim)
         self.idle_flag = Signal(True, f"master{index}_idle", sim)
-        # phase-machine registers (the whole suspended-protocol state)
-        self._phase = "fetch"
-        self._item: Optional[SequenceItem] = None
-        self._txn: Optional[Transaction] = None
-        self._idle_left = 0
         self._target = 0
         self._burst = 0
-        self._payload: Tuple[int, ...] = ()
         self._words_left = 0
         self._waited = 0
         self._backoff_left = 0
-        self.items_consumed = 0
-        self.thread(self.run)
-
-    def _next_item(self) -> Optional[SequenceItem]:
-        try:
-            item = next(self.items)
-        except StopIteration:
-            return None
-        self.items_consumed += 1
-        return item
-
-    def rebind_items(self, items: Iterator[SequenceItem]) -> None:
-        """Graft a fresh item stream onto a (possibly exhausted) master.
-
-        Checkpoint forks call this after restore: records and counters
-        stay (the scoreboard and FSM replay still see the whole run),
-        only the stimulus source is swapped.  A master parked in the
-        ``done`` phase wakes back into ``fetch`` on its next posedge.
-        """
-        self.items = items
-        self.items_consumed = 0
-        if self._phase == "done":
-            self.done = False
-            self._phase = "fetch"
-
-    def run(self):
-        self._dispatch()
-        posedge = self._posedge
-        while True:
-            yield posedge
-            self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Run phase handlers until one consumes the wake."""
-        handlers = self._PHASES
-        while handlers[self._phase](self) is None:
-            pass
-
-    def _phase_fetch(self) -> Optional[bool]:
-        item = self._next_item()
-        if item is None:
-            self.done = True
-            self._phase = "done"
-            return None
-        self._item = item
-        self._idle_left = item.idle
-        self._phase = "idle" if item.idle else "build"
-        return None
-
-    def _phase_idle(self) -> Optional[bool]:
-        if self._idle_left > 0:
-            self._idle_left -= 1
-            return True
-        self._phase = "build"
-        return None
 
     def _phase_build(self) -> Optional[bool]:
         item = self._item
@@ -252,41 +180,21 @@ class PciSequenceMaster(Module):
         return True
 
     def _phase_complete(self) -> Optional[bool]:
-        item = self._item
-        txn = self._txn
-        assert item is not None and txn is not None
-        txn.end_cycle = self.clock.cycle_count
-        txn.status = BusStatus.OK
-        self.completed += 1
-        if not item.is_write:
+        if not self._item.is_write:
             self.reads_completed += 1
-        self.in_flight = False
-        # corrupt-read matches the MS fault contract: the data path
-        # flips a bit on reads from the nth one onward
-        corrupt = (
-            not item.is_write
-            and self.fault is not None
-            and self.fault.kind == "corrupt-read"
-            and self.fault.unit == self.index
-            and self.reads_completed >= self.fault.nth
-        )
-        if corrupt:
-            txn.data = (self._payload[0] ^ 0x1,) + self._payload[1:]
-        dropped = (
-            self.fault is not None
-            and self.fault.kind == "drop"
-            and self.fault.unit == self.index
-            and self.completed == self.fault.nth
-        )
-        if not dropped:
-            self.records.append((txn, item))
+            # corrupt-read matches the MS fault contract: the data path
+            # flips a bit on reads from the nth one onward
+            fault = self.fault
+            if (
+                fault is not None
+                and fault.kind == "corrupt-read"
+                and fault.unit == self.index
+                and self.reads_completed >= fault.nth
+            ):
+                self._txn.data = (self._payload[0] ^ 0x1,) + self._payload[1:]
+        self._finish_transaction()
         self._phase = "fetch"
         return None
-
-    def _phase_done(self) -> Optional[bool]:
-        # sequence exhausted: the initiator idles but stays alive, so a
-        # checkpoint fork can graft a fresh item stream and restart it
-        return True
 
     def _release_writes(self) -> None:
         wires = self.wires
@@ -298,8 +206,7 @@ class PciSequenceMaster(Module):
         self.idle_flag.write(True)
 
     _PHASES = {
-        "fetch": _phase_fetch,
-        "idle": _phase_idle,
+        **SequenceMaster.COMMON_PHASES,
         "build": _phase_build,
         "req": _phase_req,
         "gnt": _phase_gnt,
@@ -309,69 +216,13 @@ class PciSequenceMaster(Module):
         "backoff": _phase_backoff,
         "turnaround": _phase_turnaround,
         "complete": _phase_complete,
-        "done": _phase_done,
     }
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Everything a fresh initiator needs to resume mid-protocol."""
-        return {
-            "phase": self._phase,
-            "item": self._item.to_json() if self._item is not None else None,
-            "txn": self._txn.to_json() if self._txn is not None else None,
-            "idle_left": self._idle_left,
-            "target": self._target,
-            "burst": self._burst,
-            "payload": list(self._payload),
-            "words_left": self._words_left,
-            "waited": self._waited,
-            "backoff_left": self._backoff_left,
-            "items_consumed": self.items_consumed,
-            "issued": self.issued,
-            "completed": self.completed,
-            "reads_completed": self.reads_completed,
-            "in_flight": self.in_flight,
-            "done": self.done,
-            "retries": self.retries,
-            "words_moved": self.words_moved,
-            "records": [
-                [txn.to_json(), item.to_json()] for txn, item in self.records
-            ],
-        }
-
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        """Adopt a :meth:`checkpoint_state` document (see the MS twin)."""
-        while self.items_consumed < doc["items_consumed"]:
-            if self._next_item() is None:
-                break
-        self._phase = doc["phase"]
-        self._item = (
-            SequenceItem.from_json(doc["item"]) if doc["item"] else None
-        )
-        self._txn = Transaction.from_json(doc["txn"]) if doc["txn"] else None
-        self._idle_left = doc["idle_left"]
-        self._target = doc["target"]
-        self._burst = doc["burst"]
-        self._payload = tuple(doc["payload"])
-        self._words_left = doc["words_left"]
-        self._waited = doc["waited"]
-        self._backoff_left = doc["backoff_left"]
-        self.issued = doc["issued"]
-        self.completed = doc["completed"]
-        self.reads_completed = doc["reads_completed"]
-        self.in_flight = doc["in_flight"]
-        self.done = doc["done"]
-        self.retries = doc["retries"]
-        self.words_moved = doc["words_moved"]
-        self.records = [
-            (Transaction.from_json(txn), SequenceItem.from_json(item))
-            for txn, item in doc["records"]
-        ]
 
 
 class PciScenarioSystem(ScenarioSystem):
     """Top level for one seeded PCI scenario."""
+
+    RNG_SCOPE = "pci"
 
     def __init__(
         self,
@@ -398,20 +249,13 @@ class PciScenarioSystem(ScenarioSystem):
         self.arbiter = PciArbiterModule(
             "arbiter", self.simulator, self.clock, self.wires
         )
-        root = ScenarioRng(seed, "pci")
-        ctx = StimulusContext(
-            n_targets=n_targets,
-            min_burst=1,
-            max_burst=MAX_BURST_LENGTH,
-            address_span=address_span,
-        )
+        streams = self._item_streams(sequence, self.RNG_SCOPE)
         self.masters = [
             PciSequenceMaster(
                 i, self.simulator, self.clock, self.wires, n_targets,
-                sequence.for_unit(i).items(root.derive(f"master{i}"), ctx),
-                self.txn_ids, fault=fault,
+                items, self.txn_ids, fault=fault,
             )
-            for i in range(n_masters)
+            for i, items in enumerate(streams)
         ]
         self.targets = [
             PciTargetModule(
@@ -426,26 +270,13 @@ class PciScenarioSystem(ScenarioSystem):
             for j in range(n_targets)
         ]
 
-    def rebind_sequence(self, sequence: Sequence) -> None:
-        """Swap every master's stimulus source for a new sequence.
-
-        The checkpoint fork path: a restored system keeps its bus,
-        memory and scoreboard history but plays a *different* goal set
-        from here on.  Item streams re-derive from the system seed under
-        a distinct rng scope so forks are deterministic yet uncorrelated
-        with the original run's draws.
-        """
-        root = ScenarioRng(self.seed, "pci-fork")
-        ctx = StimulusContext(
+    def _stimulus_context(self, index: int) -> StimulusContext:
+        return StimulusContext(
             n_targets=self.n_targets,
             min_burst=1,
             max_burst=MAX_BURST_LENGTH,
             address_span=self.address_span,
         )
-        for index, master in enumerate(self.masters):
-            master.rebind_items(
-                sequence.for_unit(index).items(root.derive(f"master{index}"), ctx)
-            )
 
     def letter(self) -> Dict[str, Any]:
         wires = self.wires

@@ -65,6 +65,8 @@ class PciArbiterModule(Module):
     """Lowest-index-priority arbiter with bus parking and hidden
     arbitration."""
 
+    CHECKPOINT_FIELDS = ("_grant", "grants_issued")
+
     def __init__(self, name: str, sim: Simulator, clock: Clock, wires: PciSignals):
         super().__init__(name, sim)
         self.clock = clock
@@ -102,15 +104,6 @@ class PciArbiterModule(Module):
                     gnt[index].write(True)
                     self.grants_issued += 1
                     break
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot of the arbiter's inter-cycle state."""
-        return {"grant": self._grant, "grants_issued": self.grants_issued}
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self._grant = doc["grant"]
-        self.grants_issued = doc["grants_issued"]
 
 
 class PciMasterModule(Module):
@@ -246,11 +239,16 @@ class PciTargetModule(Module):
     stop_wait / stop_tail): every posedge wake dispatches handlers keyed
     by ``self._phase`` until one consumes the cycle, so the whole
     response state — including the decode countdown and a draining
-    STOP# — lives in attributes and snapshots via
-    :meth:`checkpoint_state`.  The RNG stream (one draw at decode end,
-    one per served cycle while FRAME# is high) is wake-for-wake
-    identical to the original nested-loop formulation.
+    STOP# — lives in its declared ``CHECKPOINT_FIELDS``, RNG stream
+    position included.  The RNG stream (one draw at decode end, one per
+    served cycle while FRAME# is high) is wake-for-wake identical to the
+    original nested-loop formulation.
     """
+
+    CHECKPOINT_FIELDS = (
+        "_phase", "_decode_left", "_from_serve", "claims", "stops_issued",
+        ("random", "rng"),
+    )
 
     def __init__(
         self,
@@ -384,30 +382,6 @@ class PciTargetModule(Module):
         "stop_wait": _phase_stop_wait,
         "stop_tail": _phase_stop_tail,
     }
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot including the exact RNG stream position."""
-        version, internal, gauss = self.random.getstate()
-        return {
-            "phase": self._phase,
-            "decode_left": self._decode_left,
-            "from_serve": self._from_serve,
-            "claims": self.claims,
-            "stops_issued": self.stops_issued,
-            "random": [version, list(internal), gauss],
-        }
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self._phase = doc["phase"]
-        self._decode_left = doc["decode_left"]
-        self._from_serve = doc["from_serve"]
-        self.claims = doc["claims"]
-        self.stops_issued = doc["stops_issued"]
-        version, internal, gauss = doc["random"]
-        self.random.setstate((version, tuple(internal), gauss))
 
 
 class PciSystemModel:

@@ -238,12 +238,16 @@ class ScenarioVerdict:
         )
 
 
+def spec_sequence(spec: ScenarioSpec) -> Any:
+    """The stimulus a spec plays: its goals, else its named profile."""
+    if spec.goals:
+        return DirectedSequence(spec.goals)
+    return sequence_for_profile(spec.profile)
+
+
 def _build_system(spec: ScenarioSpec):
     """Instantiate the scenario system for a spec (worker side)."""
-    if spec.goals:
-        sequence: Any = DirectedSequence(spec.goals)
-    else:
-        sequence = sequence_for_profile(spec.profile)
+    sequence = spec_sequence(spec)
     if spec.model == "master_slave":
         from ..models.master_slave.scenario import MsScenarioSystem
 

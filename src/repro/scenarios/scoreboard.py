@@ -35,7 +35,8 @@ from typing import (
 from ..asm.errors import AsmError, RequirementFailure
 from ..asm.machine import ActionCall, AsmModel
 from ..sysc.bus import Transaction
-from .sequences import SequenceItem
+from .random_ import ScenarioRng
+from .sequences import SequenceItem, StimulusContext
 
 
 class DivergenceKind(enum.Enum):
@@ -247,6 +248,45 @@ class ScenarioSystem:
     simulator: Any
     clock: Any
     masters: Sequence[Any]
+    n_masters: int
+    seed: int
+    #: rng scope the masters' item streams derive under; a checkpoint
+    #: fork re-derives them under ``RNG_SCOPE + "-fork"``
+    RNG_SCOPE = ""
+    #: set once a checkpoint fork re-armed the masters: the
+    #: ``{"goals", "profile"}`` stimulus the system was *built* with,
+    #: which a capture of the forked run must carry to be restorable
+    built_from: Optional[Dict[str, Any]] = None
+
+    def _stimulus_context(self, index: int) -> StimulusContext:
+        """The stimulus constraints of master ``index``."""
+        raise NotImplementedError
+
+    def _item_streams(
+        self, sequence: Any, scope: str
+    ) -> List[Iterator[SequenceItem]]:
+        """One item stream per master, derived from the system seed
+        under ``scope`` (construction and forks differ only there)."""
+        root = ScenarioRng(self.seed, scope)
+        return [
+            sequence.for_unit(index).items(
+                root.derive(f"master{index}"), self._stimulus_context(index)
+            )
+            for index in range(self.n_masters)
+        ]
+
+    def rebind_sequence(self, sequence: Any) -> None:
+        """Swap every master's stimulus source for a new sequence.
+
+        The checkpoint fork path: a restored system keeps its bus,
+        memory and scoreboard history but plays a *different* goal set
+        from here on.  Item streams re-derive from the system seed under
+        a distinct rng scope so forks are deterministic yet uncorrelated
+        with the original run's draws.
+        """
+        streams = self._item_streams(sequence, f"{self.RNG_SCOPE}-fork")
+        for master, items in zip(self.masters, streams):
+            master.rebind_items(items)
 
     def reference_adapter(self) -> ReferenceAdapter:
         raise NotImplementedError

@@ -10,8 +10,10 @@ taxonomy (Hypothesis round trips included), crash-safe persistence,
 and the frontier planner the directed-closure loop forks from.
 """
 
+import hashlib
 import json
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -41,12 +43,15 @@ from repro.checkpoint import (
 from repro.checkpoint.snapshot import WIRE_KIND
 from repro.dispatch import ShardDispatcher
 from repro.explorer.goal_planner import GoalPlanner, walk_fsm_events
+from repro.dispatch.worker import CheckpointCache, store_checkpoint_request
 from repro.psl.compiled import ENGINES
+from repro.scenarios.directed import TransactionGoal
 from repro.scenarios.regression import (
     RegressionRunner,
     ScenarioSpec,
     run_scenario,
 )
+from repro.scenarios.scoreboard import FaultPlan
 from repro.workbench import SerialEngine, Workbench
 
 CYCLES = 120
@@ -79,6 +84,7 @@ def _comparable(verdict):
     uninterrupted run)."""
     doc = verdict.to_json()
     doc.pop("wall_seconds")
+    doc.pop("frontier_digest", None)
     for key in ("resume_from", "checkpoint_at"):
         doc["spec"].pop(key, None)
     return doc
@@ -168,6 +174,47 @@ class TestRestoreEquivalence:
         assert forked.cycles == 96
         assert forked.fsm_events  # the forked stimulus actually drove
 
+    @pytest.mark.parametrize(
+        "spec",
+        (
+            ScenarioSpec("master_slave", 2005, (1, 1, 2), "default", 40),
+            ScenarioSpec("pci", 2011, (2, 2), "default", 40),
+        ),
+        ids=lambda spec: spec.model,
+    )
+    def test_forked_capture_restores_equivalently(self, spec):
+        """A checkpoint captured *inside* a fork (``resume_from`` + new
+        goals + ``checkpoint_at``) restores into the stimulus the fork
+        was playing: resuming it matches running the fork straight
+        through, transaction for transaction."""
+        root = global_registry().put(snapshot_scenario_run(spec, 40))
+        units = spec.topology[0] + (
+            spec.topology[1] if spec.model == "master_slave" else 0
+        )
+        goals = tuple(
+            TransactionGoal(
+                unit=index % units,
+                target=index % 2,
+                is_write=index % 3 != 2,
+                burst=1 + index % 2,
+            )
+            for index in range(60)
+        )
+        fork = replace(
+            spec, cycles=200, profile="directed", goals=goals,
+            track_fsm=True, resume_from=root, checkpoint_at=80,
+        )
+        straight = run_scenario(fork)
+        frontier = global_registry().get(straight.frontier_digest)
+        resumed = run_scenario(
+            replace(
+                frontier.spec, cycles=200,
+                resume_from=straight.frontier_digest,
+            )
+        )
+        assert straight.transactions > 0
+        assert _comparable(resumed) == _comparable(straight)
+
 
 class TestRestoreGuards:
     """Typed refusals: a checkpoint never restores into the wrong run."""
@@ -193,6 +240,31 @@ class TestRestoreGuards:
         global_registry().put(checkpoint)
         with pytest.raises(UnknownCheckpointError, match="unknown"):
             run_scenario(replace(spec, resume_from="0" * 64))
+
+    @pytest.mark.parametrize(
+        "inflated",
+        ({"items_consumed": 10**6}, {"items_consumed": 10**6, "issued": 10**6}),
+        ids=("consumed", "consumed-and-issued"),
+    )
+    def test_inflated_items_consumed_rejected_before_replay(self, inflated):
+        """A re-digested upload claiming a huge stimulus position is
+        refused up front instead of replaying an infinite stream."""
+        _, checkpoint = self._checkpoint()
+        doc = checkpoint.to_json()
+        payload = doc["payload"]
+        payload["modules"]["master0"].update(inflated)
+        doc["digest"] = hashlib.sha256(
+            json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            .encode("utf-8")
+        ).hexdigest()
+        cache = CheckpointCache()
+        reply = store_checkpoint_request(
+            {"version": 1, "checkpoint": doc}, cache
+        )
+        started = time.perf_counter()
+        with pytest.raises(CheckpointStateError, match="items_consumed"):
+            restore_system(cache.get(reply["digest"]))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestWireTaxonomy:
@@ -249,6 +321,48 @@ class TestWireTaxonomy:
             UnknownCheckpointError,
         ):
             assert issubclass(klass, CheckpointError)
+
+
+class TestPinnedWireFormat:
+    """First-generation payload bytes are a stored format: spilled
+    registry entries and CLI checkpoint files must keep resolving, so
+    these digests only change together with ``WIRE_VERSION``."""
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        (
+            (
+                MONITORED_SPECS["master_slave"],
+                "9b5f4990c448c164252ff600fd5be10b"
+                "7d91bb4191f005b3b9206a7ba4182d2f",
+            ),
+            (
+                MONITORED_SPECS["pci"],
+                "ccdd04b46d29540444c25ac48ff95aa4"
+                "121088ecaba5f2839c7a4e925bb81acf",
+            ),
+            (
+                ScenarioSpec(
+                    "master_slave", 2005, (1, 1, 2), "default", 60,
+                    FaultPlan("corrupt-read", 1, 2),
+                ),
+                "8788d639c668ec6234c564d5361b23ca"
+                "c630339bef5cc54593fcca2e8e3b6092",
+            ),
+            (
+                ScenarioSpec(
+                    "pci", 2011, (2, 2), "default", 60,
+                    FaultPlan("drop", 1, 1),
+                ),
+                "638345258a311bba9ce63c915b5104e7"
+                "a4f2c0b64b39e81afc0b97263e8294c0",
+            ),
+        ),
+        ids=("master_slave", "pci", "master_slave-fault", "pci-fault"),
+    )
+    def test_payload_digest_is_pinned(self, spec, digest):
+        checkpoint = snapshot_scenario_run(replace(spec, cycles=60), 60)
+        assert checkpoint.digest == digest
 
 
 class TestAtomicPersistence:

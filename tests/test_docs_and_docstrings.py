@@ -1,8 +1,9 @@
 """The documentation satellites: docs/ tree present, docstring gate green.
 
 Keeps the docs from rotting silently: the stdlib docstring gate
-(``tools/check_docstrings.py``) must pass, the docs tree must exist,
-and the README must point at it instead of duplicating it.
+(``python -m tools.lint --rule lint.docstring``) must pass, the docs
+tree must exist, and the README must point at it instead of
+duplicating it.
 """
 
 import pathlib
@@ -11,36 +12,37 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+sys.path.insert(0, str(REPO_ROOT))
+try:
+    from tools.lint.docstrings import check_file
+finally:
+    sys.path.pop(0)
+
 
 class TestDocstringGate:
     def test_audited_public_api_is_fully_documented(self):
-        """tools/check_docstrings.py exits 0 over the audited surface."""
+        """The ``lint.docstring`` rule exits 0 over the audited surface."""
         result = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "check_docstrings.py")],
+            [sys.executable, "-m", "tools.lint", "--rule", "lint.docstring"],
             capture_output=True,
             text=True,
+            cwd=REPO_ROOT,
         )
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "docstring gate OK" in result.stdout
+        assert "0 finding(s)" in result.stdout
 
-    def test_gate_actually_detects_omissions(self, tmp_path, monkeypatch):
+    def test_gate_actually_detects_omissions(self, tmp_path):
         """The gate is not vacuous: an undocumented def is reported."""
-        sys.path.insert(0, str(REPO_ROOT / "tools"))
-        try:
-            import check_docstrings
-        finally:
-            sys.path.pop(0)
         bad = tmp_path / "bad.py"
         bad.write_text(
             '"""Module docstring."""\n\n\ndef naked():\n    return 1\n'
         )
-        missing = check_docstrings.check_file(bad)
-        assert missing == [(4, "function", "naked")]
+        assert check_file(bad) == [(4, "function", "naked")]
         good = tmp_path / "good.py"
         good.write_text(
             '"""Module docstring."""\n\n\ndef covered():\n    """Doc."""\n'
         )
-        assert check_docstrings.check_file(good) == []
+        assert check_file(good) == []
 
 
 class TestDocsTree:

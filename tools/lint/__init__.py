@@ -1,6 +1,6 @@
 """Repo lint framework: registered AST checks over the codebase.
 
-Generalizes the original ``tools/check_docstrings.py`` gate into a
+Generalizes the original public-API docstring gate into a
 registry of typed-finding checks sharing the analyzer's report and
 suppression pipeline::
 

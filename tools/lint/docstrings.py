@@ -8,17 +8,13 @@ name has no leading underscore; nodes with a bare ``...`` body
 exempt.
 
 This is the first registered check of the :mod:`tools.lint` framework
-(rule id ``lint.docstring``); ``tools/check_docstrings.py`` remains as
-a thin back-compat entry point over the same functions, so the
-historical ``python tools/check_docstrings.py`` invocation and its
-output format keep working.
+(rule id ``lint.docstring``); gate on it alone with
+``python -m tools.lint --rule lint.docstring``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
@@ -130,35 +126,3 @@ def lint_docstrings(root: Path) -> List[Finding]:
             ))
     return findings
 
-
-def main(argv=None) -> int:
-    """Gate the audited files; print one line per missing docstring."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--list", action="store_true", help="print the audited files and exit"
-    )
-    options = parser.parse_args(argv)
-    files = audited_files()
-    if options.list:
-        for path in files:
-            print(path.relative_to(REPO_ROOT))
-        return 0
-    failures = 0
-    checked = 0
-    for path in files:
-        checked += 1
-        for lineno, kind, name in check_file(path):
-            failures += 1
-            print(
-                f"{path.relative_to(REPO_ROOT)}:{lineno}: "
-                f"undocumented public {kind} {name}"
-            )
-    if failures:
-        print(
-            f"\ndocstring gate FAILED: {failures} undocumented public "
-            f"definition(s) across {checked} audited file(s)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"docstring gate OK: {checked} audited file(s), all public API documented")
-    return 0
