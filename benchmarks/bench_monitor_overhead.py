@@ -4,7 +4,9 @@ The paper's delta column shows "a very short time (few seconds) to
 simulate million[s] of cycles" with the assertion monitors attached.
 These benches quantify the monitor cost on this kernel:
 
-* kernel throughput with 0 / few / many monitors,
+* kernel throughput with 0 / few / many monitors, bound the way a
+  regression binds them (``AbvHarness.add_properties``: compiled
+  monitors stepped as one property set),
 * per-step cost of each monitor class (micro),
 * the derivative SERE tracker on long random traces.
 """
@@ -29,7 +31,7 @@ def _run_with_monitor_count(count: int) -> float:
     directives = pci_safety_properties(2, 2)[:count]
     if directives:
         harness = AbvHarness(system.simulator, system.clock, system.letter)
-        harness.add_monitors([build_monitor(d) for d in directives])
+        harness.add_properties(directives)
     system.run_cycles(CYCLES)
     return system.simulator.stats.wall_seconds
 

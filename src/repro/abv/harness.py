@@ -9,15 +9,21 @@ monitor's configured actions, which are exactly the paper's three:
 1. "stop the simulation when the assertion is fired",
 2. "write a report about the assertion status and all its variables",
 3. "send a warning signal to other modules (if required)".
+
+Every cycle the harness steps its whole suite through one
+:class:`~repro.psl.compiled.PropertySet`: the union of the monitors'
+Boolean atoms is valued once and each monitor advances from that
+shared symbol.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.runtime import OBS
+from ..psl.compiled import PropertySet, compile_properties
 from ..psl.monitor import Monitor, MonitorReport
 from ..psl.semantics import Verdict
 from ..sysc.clock import Clock
@@ -72,6 +78,11 @@ class AbvHarness:
         #: the stream into fresh monitors (see :mod:`repro.checkpoint`)
         self.record_letters = False
         self.recorded_letters: List[Dict[str, Any]] = []
+        #: property sets stepping the bindings, each with the bindings
+        #: it covers; monitors bound after a set started stepping get
+        #: a set (and a history window) of their own
+        self._sets: List[Tuple[PropertySet, List[AssertionBinding]]] = []
+        self._unstepped: List[AssertionBinding] = []
         simulator.register_process(
             _make_sampler(self)
         )
@@ -90,6 +101,7 @@ class AbvHarness:
             warning_signal=warning_signal,
         )
         self.bindings.append(binding)
+        self._unstepped.append(binding)
         return binding
 
     def add_monitors(
@@ -114,8 +126,6 @@ class AbvHarness:
         engine choice follows the regression-wide default unless
         overridden here.
         """
-        from ..psl.compiled import compile_properties
-
         monitors = compile_properties(sources, bindings=bindings, engine=engine)
         return self.add_monitors(monitors, actions)
 
@@ -135,14 +145,20 @@ class AbvHarness:
         if self.record_letters:
             self.recorded_letters.append(dict(letter))
         self.cycles_observed += 1
+        if self._unstepped:
+            bindings = self._unstepped
+            self._unstepped = []
+            monitors = [binding.monitor for binding in bindings]
+            self._sets.append((PropertySet(monitors), bindings))
         stop_requested: Optional[str] = None
-        for binding in self.bindings:
-            verdict = binding.monitor.step(letter)
-            if verdict is Verdict.FAILS and not binding.fired:
-                binding.fired = True
-                reason = self._run_failure_actions(binding)
-                if reason is not None:
-                    stop_requested = reason
+        for propset, bindings in self._sets:
+            for position in propset.step(letter):
+                binding = bindings[position]
+                if not binding.fired:
+                    binding.fired = True
+                    reason = self._run_failure_actions(binding)
+                    if reason is not None:
+                        stop_requested = reason
         if stop_requested is not None:
             raise SimulationStopped(stop_requested)
 
@@ -195,17 +211,28 @@ class AbvHarness:
         return results
 
     def _emit_observability(self) -> None:
-        """Attribute accumulated per-monitor step time as synthetic spans.
+        """Attribute accumulated PSL step time as synthetic spans.
 
         Each monitor's ``step_seconds`` becomes one ``psl.monitor/...``
         span parented under the most recent kernel run span, so
         ``trace_report`` subtracts monitor time from kernel self-time
-        and ranks properties individually.  Both engines accumulate
-        through the shared ``Monitor.step`` timer, so the numbers stay
-        honest post-compile; the ``engine`` attribute/label says which
-        stepping engine the time was actually spent in.
+        and ranks properties individually; the ``engine`` attribute/
+        label says which stepping engine the time was spent in.  The
+        property sets' own time -- the shared atom valuation and the
+        memo rows, everything not spent inside one monitor -- becomes
+        one ``psl.propset`` span beside them.
         """
         parent = self.simulator.last_run_span_id
+        if OBS.tracer.enabled and self._sets:
+            OBS.tracer.record(
+                "psl.propset",
+                "psl.propset",
+                sum(propset.step_seconds for propset, _ in self._sets),
+                parent_id=parent,
+                members=len(self.bindings),
+                sets=len(self._sets),
+                cycles=self.cycles_observed,
+            )
         for binding in self.bindings:
             monitor = binding.monitor
             if OBS.tracer.enabled and monitor.steps_traced:

@@ -131,7 +131,8 @@ class MsSequenceMaster(SequenceMaster):
         if self.wires.owner.read() != self.index:
             self.wait_cycles += 1
             return True
-        self.wires.want[self.index].write(False)
+        if not self._holds_request():
+            self.wires.want[self.index].write(False)
         self._phase = "busy"
         return None
 

@@ -125,7 +125,8 @@ class PciSequenceMaster(SequenceMaster):
             or wires.stop[self._target].read()
         ):
             return True
-        wires.req[self.index].write(False)
+        if not self._holds_request():
+            wires.req[self.index].write(False)
         wires.frame.write(True)
         wires.owner.write(self.index)
         wires.addr.write(self._target)

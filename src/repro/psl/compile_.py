@@ -56,7 +56,9 @@ def compile_expr(expression: Expr) -> Compiled:
 
 def compile_bool(expression: Expr) -> Callable[[History], bool]:
     """Like :func:`compile_expr` but coerced to bool, never raising on
-    missing signals (False instead -- the monitor convention)."""
+    missing signals (False instead -- the monitor convention).  The
+    unguarded :func:`compile_expr` closure stays reachable as
+    ``__wrapped__`` for callers that guard many atoms at once."""
     inner = compile_expr(expression)
 
     def evaluate(history: History) -> bool:
@@ -65,6 +67,7 @@ def compile_bool(expression: Expr) -> Callable[[History], bool]:
         except (KeyError, IndexError, PslEvaluationError):
             return False
 
+    evaluate.__wrapped__ = inner
     return evaluate
 
 

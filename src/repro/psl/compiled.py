@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from time import perf_counter as _perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.runtime import OBS
@@ -70,9 +71,10 @@ from .ast_nodes import (
     SereRepeat,
     TRUE,
     Var,
+    as_bool,
 )
-from .errors import PslParseError, PslUnsupportedError
-from .letter import freeze_letter
+from .errors import PslEvaluationError, PslParseError, PslUnsupportedError
+from .letter import FrozenLetter, freeze_letter
 from .monitor import (
     Monitor,
     SereTracker,
@@ -338,9 +340,23 @@ class CompiledProperty(Monitor, _HistoryMixin):
     ``reset/step/verdict/snapshot/restore/variables`` -- so harness,
     explorer and workbench code cannot tell the engines apart except
     by the ``engine`` tag and by speed.
+
+    Each subclass names its Boolean ``atoms`` (bit ``i`` of its symbol
+    is the truth of ``atoms[i]``) and implements one transition,
+    :meth:`_advance_symbol`.  Stepping by letter values the atoms over
+    the monitor's own history window; a :class:`PropertySet` values
+    the union of many monitors' atoms once and projects that symbol
+    onto each member, calling the same transition.
     """
 
     engine = "compiled"
+
+    #: the Boolean atoms this monitor's symbol packs, in bit order
+    atoms: Tuple[Expr, ...] = ()
+
+    def _bind_atoms(self, atoms: Sequence[Expr]) -> None:
+        self.atoms = tuple(atoms)
+        self._atom_fns = tuple(_compiled_bool(a) for a in self.atoms)
 
     def _push_letter(self, letter: Letter) -> List[Letter]:
         history = self._history
@@ -348,6 +364,20 @@ class CompiledProperty(Monitor, _HistoryMixin):
         if len(history) > self._depth + 1:
             del history[0]
         return history
+
+    def _advance(self, letter: Letter) -> Verdict:
+        history = self._push_letter(letter)
+        symbol = 0
+        bit = 1
+        for fn in self._atom_fns:
+            if fn(history):
+                symbol |= bit
+            bit <<= 1
+        return self._advance_symbol(symbol)
+
+    def _advance_symbol(self, symbol: int) -> Verdict:
+        """One transition on this cycle's atom valuation."""
+        raise NotImplementedError
 
 
 class CompiledInvariant(CompiledProperty):
@@ -357,7 +387,7 @@ class CompiledInvariant(CompiledProperty):
         super().__init__(name, report)
         self.expression = expression
         self.expect = expect
-        self._fn = _compiled_bool(expression)
+        self._bind_atoms((expression,))
         self._init_history(history_depth(expression))
 
     def reset(self) -> None:
@@ -369,9 +399,8 @@ class CompiledInvariant(CompiledProperty):
         """Signal names this monitor samples each cycle."""
         return self.expression.variables()
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        if self._fn(history) != self.expect:
+    def _advance_symbol(self, symbol: int) -> Verdict:
+        if bool(symbol) != self.expect:
             return Verdict.FAILS
         return Verdict.HOLDS
 
@@ -391,7 +420,7 @@ class CompiledEventually(CompiledProperty):
     def __init__(self, expression: Expr, name: str, report: str = ""):
         super().__init__(name, report)
         self.expression = expression
-        self._fn = _compiled_bool(expression)
+        self._bind_atoms((expression,))
         self._init_history(history_depth(expression))
         self._verdict = Verdict.PENDING
 
@@ -405,9 +434,8 @@ class CompiledEventually(CompiledProperty):
         """Signal names this monitor samples each cycle."""
         return self.expression.variables()
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        if self._fn(history):
+    def _advance_symbol(self, symbol: int) -> Verdict:
+        if symbol:
             return Verdict.HOLDS_STRONGLY
         return Verdict.PENDING
 
@@ -439,8 +467,7 @@ class CompiledUntil(CompiledProperty):
         self.right = right
         self.strong = strong
         self.inclusive = inclusive
-        self._left_fn = _compiled_bool(left)
-        self._right_fn = _compiled_bool(right)
+        self._bind_atoms((left, right))  # bit 0 = left, bit 1 = right
         self._released = False
         self._init_history(max(history_depth(left), history_depth(right)))
         self._verdict = Verdict.PENDING if strong else Verdict.HOLDS
@@ -456,16 +483,13 @@ class CompiledUntil(CompiledProperty):
         """Signal names this monitor samples each cycle."""
         return self.left.variables() | self.right.variables()
 
-    def _advance(self, letter: Letter) -> Verdict:
+    def _advance_symbol(self, symbol: int) -> Verdict:
         if self._released:
             return self._verdict
-        history = self._push_letter(letter)
-        if self._right_fn(history) and (
-            not self.inclusive or self._left_fn(history)
-        ):
+        if symbol & 2 and (not self.inclusive or symbol & 1):
             self._released = True
             return Verdict.HOLDS_STRONGLY
-        if not self._left_fn(history):
+        if not symbol & 1:
             return Verdict.FAILS
         return Verdict.PENDING if self.strong else Verdict.HOLDS
 
@@ -485,6 +509,7 @@ class CompiledNeverSere(CompiledProperty):
     def __init__(self, item: Sere, name: str = "never_sere", report: str = ""):
         super().__init__(name, report)
         self.automaton = shared_automaton(item)
+        self._bind_atoms(self.automaton.atoms)
         self._attempts = 0  # bitset of live automaton states
         self._init_history(self.automaton.depth)
 
@@ -498,10 +523,8 @@ class CompiledNeverSere(CompiledProperty):
         """Signal names this monitor samples each cycle."""
         return self.automaton.variables()
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
+    def _advance_symbol(self, symbol: int) -> Verdict:
         automaton = self.automaton
-        symbol = automaton.valuation(history)
         advance = automaton.advance
         survivors = 0
         for state in _iter_bits(self._attempts | (1 << automaton.start)):
@@ -532,6 +555,7 @@ class CompiledCover(CompiledProperty):
     def __init__(self, item: Sere, name: str = "cover", report: str = ""):
         super().__init__(name, report)
         self.automaton = shared_automaton(item)
+        self._bind_atoms(self.automaton.atoms)
         self._attempts = 0
         self.hits = 0
         self._init_history(self.automaton.depth)
@@ -547,10 +571,8 @@ class CompiledCover(CompiledProperty):
         """Signal names this monitor samples each cycle."""
         return self.automaton.variables()
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
+    def _advance_symbol(self, symbol: int) -> Verdict:
         automaton = self.automaton
-        symbol = automaton.valuation(history)
         advance = automaton.advance
         survivors = 0
         for state in _iter_bits(self._attempts | (1 << automaton.start)):
@@ -580,8 +602,9 @@ class CompiledSuffixImplication(CompiledProperty):
     """``always {r} |->/|=> {s}`` on two shared automata.
 
     Antecedent attempts and consequent obligations are bitsets of
-    state indices; the per-cycle work is two symbol valuations plus
-    one table lookup per live state.  Obligation lifecycle (spawn,
+    state indices; the per-cycle work is one symbol valuation (the
+    antecedent's atoms in the low bits, the consequent's above them)
+    plus one table lookup per live state.  Obligation lifecycle (spawn,
     discharge on match, fail on death, PENDING under a strong
     consequent) mirrors ``SuffixImplicationMonitor._advance`` line by
     line.
@@ -602,6 +625,12 @@ class CompiledSuffixImplication(CompiledProperty):
         self.consequent_automaton = shared_automaton(consequent)
         self.overlapping = overlapping
         self.strong_consequent = strong_consequent
+        width = len(self.antecedent_automaton.atoms)
+        self._antecedent_mask = (1 << width) - 1
+        self._consequent_shift = width
+        self._bind_atoms(
+            self.antecedent_automaton.atoms + self.consequent_automaton.atoms
+        )
         self._antecedent_states = 0  # bitset of live antecedent states
         self._obligations = 0  # bitset of live consequent states
         self._fresh_obligations = 0  # spawned this cycle, consume next
@@ -625,12 +654,11 @@ class CompiledSuffixImplication(CompiledProperty):
             self.consequent_automaton.variables()
         )
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
+    def _advance_symbol(self, symbol: int) -> Verdict:
         antecedent = self.antecedent_automaton
         consequent = self.consequent_automaton
-        antecedent_symbol = antecedent.valuation(history)
-        consequent_symbol = consequent.valuation(history)
+        antecedent_symbol = symbol & self._antecedent_mask
+        consequent_symbol = symbol >> self._consequent_shift
 
         # 1. advance antecedent attempts (plus a fresh anchor at this cycle)
         matched_now = False
@@ -706,6 +734,301 @@ class CompiledSuffixImplication(CompiledProperty):
 
 
 # ---------------------------------------------------------------------------
+# Property sets: one atom evaluation per cycle for a whole suite
+# ---------------------------------------------------------------------------
+
+
+#: what an atom may raise on a window that lacks a value -- a history
+#: read before the trace start; ``compile_bool`` reads these as False
+_MISSES = (KeyError, IndexError, PslEvaluationError)
+
+#: memo rows one set plan keeps; a union symbol beyond them is still
+#: stepped exactly, only without caching its row
+_MEMO_LIMIT = 4096
+
+
+def _member_shape(monitor: Monitor) -> Optional[Tuple]:
+    """How a set steps ``monitor``: ``None`` means by letter.
+
+    Only a fresh table-driven monitor (never stepped, empty history,
+    no definite verdict) joins the shared symbol: anything else carries
+    history or state the set's window does not reproduce.  Boolean
+    invariants and single-letter implications (``always (a -> b)``)
+    are *stateless* -- their outcome depends on this cycle's symbol
+    alone -- so the set folds them into its memo rows.
+    """
+    if (
+        not isinstance(monitor, CompiledProperty)
+        or monitor.cycle >= 0
+        or monitor._history
+        or monitor.verdict().is_definite
+    ):
+        return None
+    if isinstance(monitor, CompiledInvariant):
+        return ("invariant", monitor.atoms, monitor.expect)
+    if isinstance(monitor, CompiledSuffixImplication) and monitor.overlapping:
+        antecedent = monitor.antecedent_automaton.sere
+        consequent = monitor.consequent_automaton.sere
+        if isinstance(antecedent, SereBool) and isinstance(consequent, SereBool):
+            return ("implication", monitor.atoms, antecedent.expr, consequent.expr)
+    return ("symbol", monitor.atoms)
+
+
+class _SetPlan:
+    """What a property set derives once from its members' shapes.
+
+    ``atoms`` is the union of the members' atoms (bit ``i`` of the
+    union symbol is ``atoms[i]``).  ``memo`` maps a union symbol to
+    its *row* ``(fails, triggers, symbols)``: the stateless members
+    that fail under it, the implications whose antecedent holds, and
+    every other member's projected symbol (in ``projections`` order).  Plans and their memos are
+    shared process-wide by every set of equally shaped members.
+    """
+
+    def __init__(self, shapes: Sequence[Optional[Tuple]]):
+        union: Dict[Expr, int] = {}
+        for shape in shapes:
+            if shape is not None:
+                for atom in shape[1]:
+                    union.setdefault(atom, len(union))
+        self.atoms: Tuple[Expr, ...] = tuple(union)
+        self.guarded = tuple(_compiled_bool(atom) for atom in self.atoms)
+        self.raw = tuple(fn.__wrapped__ for fn in self.guarded)
+        self.width = 1 + max((history_depth(a) for a in self.atoms), default=0)
+        self.invariants: List[Tuple[int, int, bool]] = []
+        self.implications: List[Tuple[int, int, int]] = []
+        self.projections: List[Tuple[int, Tuple[int, ...]]] = []
+        for position, shape in enumerate(shapes):
+            if shape is None:
+                continue
+            if shape[0] == "invariant":
+                self.invariants.append((position, 1 << union[shape[1][0]], shape[2]))
+            elif shape[0] == "implication":
+                self.implications.append(
+                    (position, 1 << union[shape[2]], 1 << union[shape[3]])
+                )
+            else:
+                bits = tuple(union[atom] for atom in shape[1])
+                self.projections.append((position, bits))
+        self.memo: Dict[int, Tuple] = {}
+
+    def row(self, symbol: int, dead: frozenset) -> Tuple:
+        """The row for ``symbol``, skipping latched members in ``dead``."""
+        fails = [
+            position
+            for position, bit, expect in self.invariants
+            if position not in dead and bool(symbol & bit) != expect
+        ]
+        triggers = []
+        for position, antecedent, consequent in self.implications:
+            if position in dead or not symbol & antecedent:
+                continue
+            triggers.append(position)
+            if not symbol & consequent:
+                fails.append(position)
+        symbols = []
+        for _, bits in self.projections:
+            projected = 0
+            for index, bit in enumerate(bits):
+                if symbol >> bit & 1:
+                    projected |= 1 << index
+            symbols.append(projected)
+        return tuple(sorted(fails)), tuple(triggers), tuple(symbols)
+
+
+#: Set plans, keyed by the tuple of member shapes.
+_SET_PLAN_CACHE: Dict[Tuple, _SetPlan] = {}
+
+
+def _set_plan(shapes: Tuple) -> _SetPlan:
+    plan = _SET_PLAN_CACHE.get(shapes)
+    if plan is None:
+        plan = _SET_PLAN_CACHE[shapes] = _SetPlan(shapes)
+    return plan
+
+
+class PropertySet:
+    """Steps a whole property suite from one symbol per cycle.
+
+    The ABV harness's stepping engine.  Per sampled letter the set
+
+    1. appends the plain letter to one shared history window (no
+       per-monitor frozen copies);
+    2. values the union of its members' atoms once into an integer
+       symbol, in a single ``try``, re-valuing through the guarded
+       per-atom closures only when a history read misses;
+    3. looks the symbol up in its plan's memo: one row says which
+       invariants and single-letter implications fail, which
+       implications trigger, and what every other table-driven
+       member's own symbol is -- so a cycle on which every stateless
+       member holds touches none of them;
+    4. advances each remaining member through its own
+       ``_advance_symbol`` (the transition ``Monitor.step`` also
+       runs), and steps interpreted or otherwise non-fresh members by
+       letter through ``Monitor.step``.
+
+    Every member keeps its exact ``verdict``, ``cycle``,
+    ``failure_cycle``, ``triggered``/``hits`` and ``steps_traced``.
+    Time spent inside one member's transition is its ``step_seconds``;
+    the rest is the set's own :attr:`step_seconds`.  A set-stepped
+    member's private history window is not maintained, so its
+    ``snapshot()`` is not meaningful; snapshots belong to
+    single-monitor stepping (the explorer).
+
+    On its first letter the set checks that every member's signals are
+    present and raises :class:`PslEvaluationError` naming the property
+    and the signal otherwise.
+    """
+
+    def __init__(self, monitors: Sequence[Monitor]):
+        self.monitors: List[Monitor] = list(monitors)
+        shapes = tuple(_member_shape(monitor) for monitor in self.monitors)
+        plan = self._plan = _set_plan(shapes)
+        self._raw = plan.raw
+        self._guarded = plan.guarded
+        self._width = plan.width
+        self._window: List[Letter] = []
+        self._rows = plan.memo
+        self._dead: frozenset = frozenset()
+        self._native = [
+            monitor for monitor, shape in zip(self.monitors, shapes) if shape
+        ]
+        stateless = {p for p, _, _ in plan.invariants}
+        stateless.update(p for p, _, _ in plan.implications)
+        self._stateless = [(p, self.monitors[p]) for p in sorted(stateless)]
+        #: (row symbol index, position, monitor) of unlatched members
+        self._walked = [
+            (index, position, self.monitors[position])
+            for index, (position, _) in enumerate(plan.projections)
+        ]
+        self._by_letter = [
+            (position, monitor)
+            for position, (monitor, shape) in enumerate(zip(self.monitors, shapes))
+            if shape is None
+        ]
+        self._unchecked = True
+        #: own step time, members' time excluded (``psl.propset`` span)
+        self.step_seconds = 0.0
+
+    def step(self, letter: Letter) -> List[int]:
+        """Consume one cycle; positions of members that FAIL on it.
+
+        Set-stepped members latch, so each is reported on the cycle it
+        first fails; letter-stepped members are reported whenever
+        ``Monitor.step`` returns FAILS, as a harness would see them.
+        """
+        if self._unchecked:
+            self._check_signals(letter)
+        timed = OBS.enabled
+        if timed:
+            started = _perf_counter()
+            member_seconds = 0.0
+        window = self._window
+        window.append(dict(letter))
+        if len(window) > self._width:
+            del window[0]
+        symbol = 0
+        bit = 1
+        try:
+            for fn in self._raw:
+                value = fn(window)
+                if value is True or (value is not False and as_bool(value)):
+                    symbol |= bit
+                bit <<= 1
+        except _MISSES:
+            symbol = 0
+            bit = 1
+            for fn in self._guarded:
+                if fn(window):
+                    symbol |= bit
+                bit <<= 1
+        row = self._rows.get(symbol)
+        if row is None:
+            row = self._plan.row(symbol, self._dead)
+            if len(self._rows) < _MEMO_LIMIT:
+                self._rows[symbol] = row
+        fails, triggers, symbols = row
+        for monitor in self._native:
+            monitor.cycle += 1
+        monitors = self.monitors
+        for position in triggers:
+            monitors[position].triggered += 1
+        if timed:
+            for _, monitor in self._stateless:
+                monitor.steps_traced += 1
+        failed = self._latch(fails) if fails else []
+        latched = False
+        for index, position, monitor in self._walked:
+            if timed:
+                begun = _perf_counter()
+            verdict = monitor._advance_symbol(symbols[index])
+            if timed:
+                spent = _perf_counter() - begun
+                monitor.step_seconds += spent
+                monitor.steps_traced += 1
+                member_seconds += spent
+            monitor._verdict = verdict
+            if verdict is _FAILS:
+                if monitor.failure_cycle is None:
+                    monitor.failure_cycle = monitor.cycle
+                failed.append(position)
+                latched = latched or monitor.latch_definite
+            elif verdict is _HOLDS_STRONGLY and monitor.latch_definite:
+                latched = True
+        if latched:
+            self._walked = [
+                walked
+                for walked in self._walked
+                if not (walked[2].latch_definite and walked[2]._verdict.is_definite)
+            ]
+        if self._by_letter:
+            if timed:
+                begun = _perf_counter()
+            frozen = FrozenLetter(letter)
+            for position, monitor in self._by_letter:
+                if monitor.step(frozen) is _FAILS:
+                    failed.append(position)
+            if timed:
+                member_seconds += _perf_counter() - begun
+        if timed:
+            self.step_seconds += _perf_counter() - started - member_seconds
+        if len(failed) > 1:
+            failed.sort()
+        return failed
+
+    def _latch(self, positions: Sequence[int]) -> List[int]:
+        """Latch stateless members that fail; their rows go private."""
+        for position in positions:
+            monitor = self.monitors[position]
+            monitor._verdict = _FAILS
+            if monitor.failure_cycle is None:
+                monitor.failure_cycle = monitor.cycle
+        self._dead = self._dead.union(positions)
+        # the shared memo assumes every stateless member is live
+        self._rows = {}
+        self._stateless = [
+            (position, monitor)
+            for position, monitor in self._stateless
+            if position not in self._dead
+        ]
+        return list(positions)
+
+    def _check_signals(self, letter: Letter) -> None:
+        for monitor in self.monitors:
+            for name in sorted(monitor.variables()):
+                if name not in letter:
+                    raise PslEvaluationError(
+                        f"property {monitor.name!r} reads signal {name!r}, "
+                        f"which the sampled letter does not provide"
+                    )
+        self._unchecked = False
+
+
+_FAILS = Verdict.FAILS
+_HOLDS_STRONGLY = Verdict.HOLDS_STRONGLY
+
+
+# ---------------------------------------------------------------------------
 # The public compilation API
 # ---------------------------------------------------------------------------
 
@@ -737,6 +1060,7 @@ def compile_cache_stats() -> Dict[str, int]:
     """
     stats = dict(_CACHE_STATS)
     stats["plans"] = len(_PLAN_CACHE)
+    stats["set_plans"] = len(_SET_PLAN_CACHE)
     stats["automata"] = len(_AUTOMATON_CACHE)
     stats["automaton_states"] = sum(
         a.state_count for a in _AUTOMATON_CACHE.values()
@@ -747,6 +1071,7 @@ def compile_cache_stats() -> Dict[str, int]:
 def clear_compile_caches() -> None:
     """Drop all compilation caches (tests and memory-pressure hooks)."""
     _PLAN_CACHE.clear()
+    _SET_PLAN_CACHE.clear()
     _AUTOMATON_CACHE.clear()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0

@@ -156,6 +156,17 @@ class SequenceMaster(Module):
         # checkpoint fork can graft a fresh item stream and restart it
         return True
 
+    def _holds_request(self) -> bool:
+        """Whether a ``hold-request`` fault keeps this master's request
+        line asserted past its grant (current transaction onward)."""
+        fault = self.fault
+        return (
+            fault is not None
+            and fault.kind == "hold-request"
+            and fault.unit == self.index
+            and self.issued >= fault.nth
+        )
+
     def _finish_transaction(self) -> None:
         """Complete the in-flight transaction and record it, unless a
         ``drop`` fault swallows this master's ``nth`` completion."""

@@ -393,21 +393,25 @@ class ScenarioSystem:
 class FaultPlan:
     """A deliberate defect injected into a scenario system.
 
-    Used by the test suite to prove the scoreboard detects divergence
-    rather than silently passing:
+    Used by the test suite to prove the scoreboard and the PSL monitors
+    detect divergence rather than silently passing:
 
     * ``corrupt-read``: slave/record data path flips a bit from the
       ``nth`` read onward (master/slave index per ``unit``),
     * ``drop``: the ``nth`` completed transaction of master ``unit``
-      is completed by the hardware but never reported.
+      is completed by the hardware but never reported,
+    * ``hold-request``: master ``unit`` keeps its request line (PCI
+      REQ#, master/slave ``want``) asserted once granted, from its
+      ``nth`` transaction onward -- a protocol defect the assertion
+      suites catch.
     """
 
-    kind: str              # "corrupt-read" | "drop"
-    unit: int = 0          # slave index (corrupt-read) or master index (drop)
+    kind: str              # "corrupt-read" | "drop" | "hold-request"
+    unit: int = 0          # slave index (corrupt-read) or master index
     nth: int = 1           # 1-based trigger point
 
     def __post_init__(self):
-        if self.kind not in ("corrupt-read", "drop"):
+        if self.kind not in ("corrupt-read", "drop", "hold-request"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.nth < 1:
             raise ValueError("fault nth is 1-based")

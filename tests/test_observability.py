@@ -220,6 +220,29 @@ class TestKernelAndMonitorSpans:
             assert span.attrs["steps"] > 0
             assert span.attrs["verdict"]
 
+    def test_property_set_span_beside_monitor_spans(self):
+        """A compiled suite steps through one property set: one
+        ``psl.propset`` span per harness, per-property spans kept."""
+        enable_tracing()
+        system = PciSystemModel(1, 1, seed=11)
+        harness = AbvHarness(system.simulator, system.clock, system.letter)
+        harness.add_properties(pci_safety_properties(1, 1), engine="compiled")
+        system.run_cycles(150)
+        harness.finish()
+        spans = OBS.tracer.spans()
+        kernel_id = system.simulator.last_run_span_id
+        (propset,) = [s for s in spans if s.component == "psl.propset"]
+        assert propset.parent_id == kernel_id
+        assert propset.attrs["members"] == len(harness.bindings)
+        assert propset.attrs["cycles"] == harness.cycles_observed
+        monitor_spans = [s for s in spans if s.component == "psl.monitor"]
+        assert {s.attrs["property"] for s in monitor_spans} == {
+            b.monitor.name for b in harness.bindings
+        }
+        for span in monitor_spans:
+            assert span.parent_id == kernel_id
+            assert span.attrs["steps"] == harness.cycles_observed
+
     def test_monitor_step_counts_disabled_path_untouched(self):
         system = self._simulate()
         assert system.simulator.last_run_span_id is None
@@ -368,6 +391,22 @@ class TestTraceReport:
         (prop,) = report["properties"]
         assert prop["name"] == "p"
         assert prop["steps"] == 42
+
+    def test_property_set_folds_into_the_psl_layer(self, tmp_path):
+        trace_report = self._trace_report()
+        spans = self._spans() + [
+            {"span_id": 3, "parent_id": 1, "name": "psl.propset",
+             "component": "psl.propset", "start_s": 0.8, "duration_s": 0.1,
+             "attrs": {"members": 1}},
+        ]
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(json.dumps(s) for s in spans) + "\n")
+        report = trace_report.fold(trace_report.load_spans([str(path)]))
+        layers = {row["name"]: row for row in report["layers"]}
+        assert layers["psl"]["self_s"] == pytest.approx(0.8)
+        assert layers["psl"]["count"] == 2
+        assert layers["sysc"]["self_s"] == pytest.approx(0.2)
+        assert "== layers" in trace_report.render(report, None)
 
     def test_multi_file_ids_do_not_collide(self, tmp_path):
         trace_report = self._trace_report()

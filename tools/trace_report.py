@@ -5,11 +5,14 @@ The artifact that turns the ROADMAP's hot-path speedup item into a
 ranked worklist: read one or more trace files written by ``--trace``
 (``python -m repro ... --trace run.jsonl``), compute every span's
 *self time* (its duration minus the durations of its direct children),
-and aggregate per component (``psl.monitor``, ``sysc.kernel``,
-``scenarios``, ``dispatch``, ``workbench``) and per span name.  Spans
-carrying a ``property`` attribute (the per-monitor spans the ABV
-harness emits) additionally get a per-property attribution table, so
-"monitors dominate" becomes "these three properties dominate"::
+and aggregate per layer (the component's first dotted part, so
+``psl.monitor`` and the ABV harness's ``psl.propset`` both fold into
+``psl``), per component (``psl.monitor``, ``psl.propset``,
+``sysc.kernel``, ``scenarios``, ``dispatch``, ``workbench``) and per
+span name.  Spans carrying a ``property`` attribute (the per-monitor
+spans the ABV harness emits) additionally get a per-property
+attribution table, so "monitors dominate" becomes "these three
+properties dominate"::
 
     python tools/trace_report.py run.jsonl
     python tools/trace_report.py run.jsonl shard1.jsonl --json
@@ -82,19 +85,23 @@ def self_times(spans: Sequence[Dict[str, Any]]) -> Dict[Any, float]:
 def fold(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate spans into the report document.
 
-    Returns ``components`` (ranked by total self time), ``names``
-    (per span name), and ``properties`` (per-PSL-property attribution
-    from spans with an ``attrs.property``), each entry carrying
-    ``self_s``, ``total_s`` and ``count``.
+    Returns ``layers`` (components folded by their first dotted part),
+    ``components`` (ranked by total self time), ``names`` (per span
+    name), and ``properties`` (per-PSL-property attribution from spans
+    with an ``attrs.property``), each entry carrying ``self_s``,
+    ``total_s`` and ``count``.
     """
     selfs = self_times(spans)
+    layers: Dict[str, Dict[str, Any]] = {}
     components: Dict[str, Dict[str, Any]] = {}
     names: Dict[str, Dict[str, Any]] = {}
     properties: Dict[str, Dict[str, Any]] = {}
     for span in spans:
         self_s = selfs[span["span_id"]]
+        component = span.get("component", "?")
         for table, key in (
-            (components, span.get("component", "?")),
+            (layers, component.split(".", 1)[0]),
+            (components, component),
             (names, span["name"]),
         ):
             entry = table.setdefault(
@@ -114,6 +121,7 @@ def fold(spans: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             entry["steps"] += span.get("attrs", {}).get("steps", 0)
     return {
         "spans": len(spans),
+        "layers": _ranked(layers),
         "components": _ranked(components),
         "names": _ranked(names),
         "properties": _ranked(properties),
@@ -157,8 +165,10 @@ def _format_table(
 
 
 def render(report: Dict[str, Any], top: Optional[int]) -> str:
-    """The text rendering: components, hottest span names, properties."""
+    """The text rendering: layers, components, hottest span names,
+    properties."""
     lines = [f"trace: {report['spans']} span(s)"]
+    lines.extend(_format_table("layers", report["layers"], None))
     lines.extend(_format_table("components", report["components"], None))
     lines.extend(_format_table("span names", report["names"], top))
     if report["properties"]:
