@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..psl.monitor import CoverMonitor, Monitor, SuffixImplicationMonitor
+from ..psl.monitor import Monitor
 from ..psl.semantics import Verdict
 
 
@@ -37,35 +37,27 @@ class CoverageCollector:
         self.monitors.append(monitor)
 
     def entries(self) -> List[CoverageEntry]:
+        """One entry per monitor, keyed off the monitor protocol so both
+        engines' classes report alike: covers count ``hits``, suffix
+        implications their antecedent matches (``triggered``), other
+        assertions the cycles they watched."""
         collected: List[CoverageEntry] = []
         for monitor in self.monitors:
-            if isinstance(monitor, CoverMonitor):
-                collected.append(
-                    CoverageEntry(
-                        name=monitor.name,
-                        kind="cover",
-                        hits=monitor.hits,
-                        verdict=monitor.verdict().value,
-                    )
-                )
-            elif isinstance(monitor, SuffixImplicationMonitor):
-                collected.append(
-                    CoverageEntry(
-                        name=monitor.name,
-                        kind="assertion",
-                        hits=monitor.triggered,
-                        verdict=monitor.verdict().value,
-                    )
-                )
+            if monitor.is_cover:
+                kind, hits = "cover", monitor.hits
             else:
-                collected.append(
-                    CoverageEntry(
-                        name=monitor.name,
-                        kind="assertion",
-                        hits=max(monitor.cycle + 1, 0),
-                        verdict=monitor.verdict().value,
-                    )
+                kind = "assertion"
+                hits = getattr(monitor, "triggered", None)
+                if hits is None:
+                    hits = max(monitor.cycle + 1, 0)
+            collected.append(
+                CoverageEntry(
+                    name=monitor.name,
+                    kind=kind,
+                    hits=hits,
+                    verdict=monitor.verdict().value,
                 )
+            )
         return collected
 
     @property

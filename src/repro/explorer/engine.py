@@ -11,7 +11,10 @@ The engine:
    runs the configured init action (rule R2),
 2. repeatedly pops a frontier state, restores the model *and* every
    property monitor to it, applies the filters, and fires every enabled
-   candidate call (actions x argument domains, rules R3/R4),
+   candidate call (actions x argument domains, rules R3/R4); a disabled
+   call leaves the state untouched (``AsmModel.try_execute``) and the
+   monitors only advance after an enabled one, so the state is restored
+   again only after an enabled call,
 3. keys each reached state by the selected state variables plus the
    property monitors' ``P_eval``/``P_value`` bits and internal state
    (the paper's "property embedded in every state"),
@@ -29,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..asm.machine import ActionCall, AsmModel
 from ..asm.state import FullState, Location, StateKey
+from ..obs.runtime import OBS
 from .config import ExplorationConfig, SearchOrder, StateProperty
 from .counterexample import Counterexample, CounterexampleStep
 from .fsm import Fsm
@@ -92,6 +96,19 @@ class Explorer:
         self.config = config or ExplorationConfig()
 
     def run(self, name: str | None = None) -> ExplorationResult:
+        with OBS.tracer.span(
+            "explorer.explore", "explorer.explore", model=self.model.name
+        ) as span:
+            result = self._explore(name)
+            stats = result.stats
+            span.set(
+                states=stats.states,
+                transitions=stats.transitions,
+                restores=stats.restores,
+            )
+        return result
+
+    def _explore(self, name: str | None) -> ExplorationResult:
         model, config = self.model, self.config
         stats = ExplorationStats()
         fsm = Fsm(name or f"{model.name}-fsm")
@@ -157,6 +174,7 @@ class Explorer:
             return key, tuple(snaps), violated
 
         def restore(entry: _FrontierEntry) -> None:
+            stats.restores += 1
             model.restore(entry.full_state)
             for prop, snap in zip(properties, entry.monitor_snaps):
                 prop.restore(snap)
@@ -226,12 +244,16 @@ class Explorer:
                 stats.hit_depth_bound = True
                 continue
 
+            moved = False
             for call in candidates:
-                restore(entry)
+                if moved:
+                    restore(entry)
+                    moved = False
                 stats.calls_tried += 1
-                enabled, _ = self.model.try_execute(call)
+                enabled, _ = model.try_execute(call)
                 if not enabled:
                     continue
+                moved = True
                 stats.calls_enabled += 1
 
                 new_key, new_snaps, violated = observe_and_key()

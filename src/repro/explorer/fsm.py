@@ -54,6 +54,13 @@ class Fsm:
         self._transitions: List[FsmTransition] = []
         self._out: Dict[int, List[int]] = {}
         self._in: Dict[int, List[int]] = {}
+        #: source -> BFS tree (reached state -> the edge that first
+        #: discovered it, None for the source); cleared by add_transition
+        self._trees: Dict[int, Dict[int, Optional[FsmTransition]]] = {}
+        #: BFS trees built and paths served over this FSM's life
+        #: (observability only)
+        self.trees_built = 0
+        self.paths_served = 0
 
     # -- construction -------------------------------------------------------
 
@@ -95,6 +102,9 @@ class Fsm:
         self._transitions.append(transition)
         self._out[source].append(edge_index)
         self._in[target].append(edge_index)
+        # a new edge can change any tree; a new state cannot (it has no
+        # edges yet), so add_state keeps them
+        self._trees.clear()
         return transition
 
     # -- queries ---------------------------------------------------------------
@@ -148,47 +158,45 @@ class Fsm:
 
     # -- graph algorithms ------------------------------------------------------
 
+    def _bfs_tree(self, source: int) -> Dict[int, Optional[FsmTransition]]:
+        """The full BFS tree from ``source``, built once per source.
+
+        Outgoing edges are visited in insertion order and a state keeps
+        the first edge that reaches it, so every path unwound from the
+        tree is the one an early-exit BFS to that state would return.
+        """
+        tree = self._trees.get(source)
+        if tree is None:
+            tree = {source: None}
+            frontier = deque([source])
+            out, transitions = self._out, self._transitions
+            while frontier:
+                for edge in out.get(frontier.popleft(), ()):
+                    transition = transitions[edge]
+                    if transition.target not in tree:
+                        tree[transition.target] = transition
+                        frontier.append(transition.target)
+            self._trees[source] = tree
+            self.trees_built += 1
+        return tree
+
     def shortest_path(self, source: int, target: int) -> Optional[List[FsmTransition]]:
         """BFS shortest path as a list of transitions, or None."""
-        if source == target:
-            return []
-        parent: Dict[int, FsmTransition] = {}
-        frontier = deque([source])
-        seen = {source}
-        while frontier:
-            node = frontier.popleft()
-            for transition in self.outgoing(node):
-                if transition.target in seen:
-                    continue
-                parent[transition.target] = transition
-                if transition.target == target:
-                    return self._unwind(parent, source, target)
-                seen.add(transition.target)
-                frontier.append(transition.target)
-        return None
-
-    def _unwind(
-        self, parent: Dict[int, FsmTransition], source: int, target: int
-    ) -> List[FsmTransition]:
+        self.paths_served += 1
+        tree = self._bfs_tree(source)
+        if target not in tree:
+            return None
         path: List[FsmTransition] = []
         node = target
         while node != source:
-            transition = parent[node]
+            transition = tree[node]
             path.append(transition)
             node = transition.source
         path.reverse()
         return path
 
     def reachable_from(self, source: int) -> set[int]:
-        seen = {source}
-        frontier = deque([source])
-        while frontier:
-            node = frontier.popleft()
-            for successor in self.successors(node):
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return seen
+        return set(self._bfs_tree(source))
 
     def strongly_connected_components(self) -> List[List[int]]:
         """Tarjan's algorithm (iterative); useful for liveness reasoning."""

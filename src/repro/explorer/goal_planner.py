@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..asm.machine import ActionCall
+from ..obs.runtime import OBS
 from .fsm import Fsm, FsmTransition
 
 
@@ -79,9 +80,11 @@ class GoalPlanner:
     """Plans directed sequence goals for a set of uncovered transitions.
 
     Planning is deterministic: candidate edges are resolved in a stable
-    order, paths come from the FSM's deterministic BFS, and the greedy
-    dedup keeps the longest plans first so shorter residue edges ride
-    along instead of spawning their own scenarios.
+    order, paths come from the FSM's deterministic BFS (one memoized
+    tree per origin, so a round builds at most one tree per distinct
+    origin however many edges it plans), and the greedy dedup keeps the
+    longest plans first so shorter residue edges ride along instead of
+    spawning their own scenarios.
     """
 
     def __init__(self, fsm: Fsm):
@@ -148,15 +151,27 @@ class GoalPlanner:
         checkpoint instead of re-walking the prefix.  Budget caps
         belong to the caller (the workbench counts *lowerable* plans
         against its ``max_goals``, which this layer cannot know)."""
+        labels = list(dict.fromkeys(uncovered))
+        fsm = self.fsm
+        trees, paths = fsm.trees_built, fsm.paths_served
+        with OBS.tracer.span("explorer.plan", "explorer.plan") as span:
+            plans = self._plan(labels, frontier)
+            span.set(
+                edges=len(labels),
+                plans=len(plans),
+                trees=fsm.trees_built - trees,
+                paths=fsm.paths_served - paths,
+            )
+        return plans
+
+    def _plan(
+        self, labels: List[str], frontier: Sequence[int]
+    ) -> List[PlannedGoal]:
         unknown: List[str] = []
         candidates: List[
             Tuple[str, List[FsmTransition], Optional[int], Optional[int]]
         ] = []
-        seen_labels = set()
-        for label in uncovered:
-            if label in seen_labels:
-                continue
-            seen_labels.add(label)
+        for label in labels:
             transition = self._by_label.get(label)
             if transition is None:
                 unknown.append(label)

@@ -17,6 +17,9 @@ class ExplorationStats:
     calls_tried: int = 0
     #: calls whose ``require`` precondition held
     calls_enabled: int = 0
+    #: model + monitor restores: one per expanded state, then one
+    #: before each candidate that follows an enabled call
+    restores: int = 0
     #: states excluded from expansion by a filter
     filtered_states: int = 0
     #: property violations observed

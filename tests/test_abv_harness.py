@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.psl import CoverMonitor, Verdict, build_monitor, parse_formula, parse_sere
+from repro.psl import (
+    CoverMonitor,
+    Verdict,
+    build_monitor,
+    compile_properties,
+    parse_formula,
+    parse_sere,
+)
 from repro.abv import AbvHarness, CoverageCollector, FailureAction
 from repro.sysc import Clock, ReportHandler, Signal, Simulator, ns
 
@@ -262,3 +269,33 @@ class TestCoverageCollector:
         assert "ghost" in collector.never_triggered
         assert "follow" not in collector.never_triggered
         assert collector.uncovered == []
+
+    def test_both_engines_report_alike(self):
+        """Compiled covers and implications are reported like their
+        interpreted twins, not as assertions counting cycles."""
+        sources = [
+            "cover {p ; q};",
+            "cover {z};",
+            "assert always {p} |=> {q};",
+            "assert always {z} |=> {q};",
+        ]
+
+        def collect(engine):
+            sim, clock, p, q = make_design()
+            harness = AbvHarness(
+                sim, clock, lambda: {"p": p.read(), "q": q.read(), "z": False}
+            )
+            monitors = compile_properties(sources, engine=engine)
+            harness.add_monitors(monitors)
+            sim.run(ns(10) * 30)
+            collector = CoverageCollector(monitors)
+            entries = [(e.kind, e.hits) for e in collector.entries()]
+            return entries, collector.uncovered, collector.never_triggered
+
+        compiled = collect("compiled")
+        assert compiled == collect("interpreted")
+        entries, uncovered, never_triggered = compiled
+        assert [kind for kind, _ in entries] == [
+            "cover", "cover", "assertion", "assertion"
+        ]
+        assert len(uncovered) == 1 and len(never_triggered) == 1

@@ -379,6 +379,57 @@ class TestCloseCoverageStage:
         assert result.status.value == "error"
 
 
+class TestClosurePins:
+    """Frontier closure facts pinned before the planner memoized its BFS
+    trees and the explorer restored lazily: both must leave every FSM,
+    plan and round digest exactly as it was."""
+
+    @staticmethod
+    def _close(model, max_states=None, **kwargs):
+        workbench = Workbench(model, seed=2005)
+        explored = workbench.explore(
+            **({"max_states": max_states} if max_states else {})
+        )
+        closure = workbench.close_coverage(workers=1, frontier=True, **kwargs)
+        assert explored.ok and closure.ok, closure.summary
+        data = closure.data
+        return {
+            "fsm_digest": explored.data["fsm_digest"],
+            "states": explored.data["states"],
+            "transitions": explored.data["transitions"],
+            "closed": data["achieved"],
+            "cycles": data["cycles_simulated"],
+            "forked": data["forked_goals"],
+            "rounds": [r["regression_digest"] for r in data["run"]],
+        }
+
+    def test_pci_frontier_closure_at_400_states(self):
+        assert self._close("pci", 400, rounds=3, max_goals=12) == {
+            "fsm_digest": "d003d05cd81960ec",
+            "states": 400,
+            "transitions": 858,
+            "closed": 35,
+            "cycles": 5800,
+            "forked": 2,
+            "rounds": [
+                "83e6b082565b29d2",
+                "75c1f264913c8882",
+                "ae89728b8c3e2c51",
+            ],
+        }
+
+    def test_ms_frontier_closure(self):
+        assert self._close("master_slave", rounds=2, cycles=160, max_goals=6) == {
+            "fsm_digest": "2ad7769c1dc9599e",
+            "states": 8,
+            "transitions": 29,
+            "closed": 17,
+            "cycles": 2028,
+            "forked": 2,
+            "rounds": ["dcbb5aa734823c14", "d157e953047de373"],
+        }
+
+
 class TestDirectedSharding:
     def test_directed_specs_survive_the_shard_wire(self, tmp_path):
         """A directed spec list round-trips through the spec file and a

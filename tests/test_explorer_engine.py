@@ -230,3 +230,56 @@ class TestActionRestriction:
         full = explore(arbiter_model)
         assert result.fsm.state_count() <= full.fsm.state_count()
         assert result.fsm.state_count() <= 3  # owner in {-1, 0, 1}
+
+
+class TestLazyRestore:
+    """The explorer restores the model and its monitors only after an
+    enabled call; that is sound because a disabled call changes
+    neither, which this checks at every explored state."""
+
+    @pytest.mark.parametrize(
+        "model_name, overrides",
+        [("pci", {"max_states": 120}), ("master_slave", {})],
+    )
+    def test_disabled_calls_leave_model_and_monitors_untouched(
+        self, model_name, overrides
+    ):
+        import copy
+
+        from repro.explorer import Explorer
+        from repro.psl.asm_embedding import AssertionProperty, state_extractor
+        from repro.workbench import default_registry
+
+        duv = default_registry().get(model_name)
+        model = duv.model_factory()
+        properties = [
+            AssertionProperty(
+                d.prop, extractor=duv.extractor or state_extractor, name=d.prop.name
+            )
+            for d in duv.assert_directives()
+        ]
+        config = duv.exploration.with_overrides(properties=properties, **overrides)
+        probe = model.try_execute
+        disabled = []
+
+        def observed():
+            return copy.deepcopy(
+                (model.full_state().items(), [p.snapshot() for p in properties])
+            )
+
+        def checked_try_execute(call):
+            before = observed()
+            enabled, value = probe(call)
+            if not enabled:
+                assert observed() == before, f"disabled {call.label()} moved the state"
+                disabled.append(call)
+            return enabled, value
+
+        model.try_execute = checked_try_execute
+        result = Explorer(model, config).run()
+        stats = result.stats
+        assert properties and disabled
+        assert len(disabled) == stats.calls_tried - stats.calls_enabled
+        # one restore per expanded state plus at most one per enabled call
+        assert stats.restores <= stats.states + stats.calls_enabled
+        assert stats.restores < stats.calls_tried

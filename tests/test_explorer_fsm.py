@@ -1,5 +1,9 @@
 """Unit tests for the FSM data structure and graph algorithms."""
 
+from collections import deque
+
+from hypothesis import given, settings, strategies as st
+
 from repro.asm import ActionCall
 from repro.asm.state import Location, StateKey
 from repro.explorer import Fsm, iter_paths
@@ -92,6 +96,94 @@ class TestPaths:
         fsm = build_chain(4)
         paths = list(iter_paths(fsm, 0, max_depth=2))
         assert max(len(p) for p in paths) == 2
+
+
+def reference_shortest_path(fsm, source, target):
+    """The per-call early-exit BFS the memoized trees must reproduce."""
+    if source == target:
+        return []
+    parent = {}
+    frontier = deque([source])
+    seen = {source}
+    while frontier:
+        node = frontier.popleft()
+        for transition in fsm.outgoing(node):
+            if transition.target in seen:
+                continue
+            parent[transition.target] = transition
+            if transition.target == target:
+                path = []
+                while target != source:
+                    path.append(parent[target])
+                    target = parent[target].source
+                return path[::-1]
+            seen.add(transition.target)
+            frontier.append(transition.target)
+    return None
+
+
+def reference_reachable(fsm, source):
+    seen = {source}
+    frontier = deque([source])
+    while frontier:
+        for successor in fsm.successors(frontier.popleft()):
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    return seen
+
+
+#: graph mutations interleaved with queries; indices are taken modulo
+#: the state count at the time, so edges cover self-loops, parallel
+#: edges and states nothing reaches
+FSM_OPS = st.lists(
+    st.one_of(
+        st.just(("state",)),
+        st.tuples(st.just("edge"), st.integers(0, 9), st.integers(0, 9)),
+        st.tuples(st.just("path"), st.integers(0, 9), st.integers(0, 9)),
+        st.tuples(st.just("reach"), st.integers(0, 9)),
+    ),
+    max_size=80,
+)
+
+
+class TestMemoizedQueries:
+    @settings(max_examples=300, deadline=None)
+    @given(FSM_OPS)
+    def test_queries_match_a_per_call_bfs(self, ops):
+        fsm = Fsm()
+        fsm.add_state(key(x=0), is_initial=True)
+        for op in ops:
+            count = fsm.state_count()
+            if op[0] == "state":
+                fsm.add_state(key(x=count))
+            elif op[0] == "edge":
+                # unique args: parallel edges stay distinguishable
+                call = ActionCall("m", "e", (fsm.transition_count(),))
+                fsm.add_transition(op[1] % count, op[2] % count, call)
+            elif op[0] == "path":
+                source, target = op[1] % count, op[2] % count
+                assert fsm.shortest_path(source, target) == (
+                    reference_shortest_path(fsm, source, target)
+                )
+            else:
+                source = op[1] % count
+                assert fsm.reachable_from(source) == (
+                    reference_reachable(fsm, source)
+                )
+
+    def test_one_tree_per_source_until_an_edge_is_added(self):
+        fsm = build_chain(4)
+        for target in range(4):
+            fsm.shortest_path(0, target)
+        assert fsm.reachable_from(0) == {0, 1, 2, 3}
+        assert (fsm.trees_built, fsm.paths_served) == (1, 4)
+        fsm.add_state(key(x=9))
+        assert fsm.shortest_path(0, 3) is not None
+        assert fsm.trees_built == 1
+        fsm.add_transition(3, 4, ActionCall("m", "step"))
+        assert len(fsm.shortest_path(0, 4)) == 4
+        assert fsm.trees_built == 2
 
 
 class TestScc:

@@ -313,6 +313,52 @@ class TestDigestInvariance:
         assert "metrics" in traced.observability
         assert plain.observability == {}
 
+    def test_explorer_spans_leave_closure_digests_alone(self, tmp_path):
+        def run_close(trace):
+            if trace:
+                enable_tracing()
+            try:
+                bench = Workbench("pci", seed=2005)
+                explored = bench.explore(max_states=120)
+                closure = bench.close_coverage(
+                    rounds=2, max_goals=4, workers=1, frontier=True
+                )
+                facts = (
+                    explored.data["fsm_digest"],
+                    [r["regression_digest"] for r in closure.data["run"]],
+                    closure.data["frontier_states"],
+                    bench.report().digest(),
+                )
+                OBS.tracer.dump(str(tmp_path / "close.jsonl"))
+                return facts, OBS.tracer.spans()
+            finally:
+                runtime.disable()
+
+        plain, untraced_spans = run_close(False)
+        traced, spans = run_close(True)
+        assert traced == plain
+        assert untraced_spans == []
+        (explore,) = [s for s in spans if s.name == "explorer.explore"]
+        assert explore.component == "explorer.explore"
+        assert explore.attrs["states"] == 120
+        assert 0 < explore.attrs["restores"] < explore.attrs["transitions"] + 120
+        plans = [s.attrs for s in spans if s.name == "explorer.plan"]
+        assert len(plans) >= 2
+        assert all(0 < p["plans"] <= p["edges"] <= p["paths"] for p in plans)
+        # one BFS tree per origin (the initial state, then each frontier
+        # state), however many edges and rounds were planned
+        assert plans[0]["trees"] == 1
+        assert sum(p["trees"] for p in plans) <= 1 + len(traced[2])
+
+        trace_report = _trace_report()
+        report = trace_report.fold(
+            trace_report.load_spans([str(tmp_path / "close.jsonl")])
+        )
+        components = {row["name"] for row in report["components"]}
+        assert {"explorer.explore", "explorer.plan"} <= components
+        layers = {row["name"]: row for row in report["layers"]}
+        assert layers["explorer"]["count"] == 1 + len(plans)
+
 
 class TestCliFlags:
     def test_trace_and_metrics_flags(self, tmp_path, capsys):
