@@ -101,15 +101,11 @@ def test_replay_vs_incremental_cost(benchmark):
     quadratic, the derivative monitor linear."""
     formula = parse_formula("always {req0} |=> {gnt0}")
     incremental = build_monitor(formula, name="inc")
-    import warnings
-
     from repro.psl.monitor import ReplayMonitor
 
     # the replay oracle is interpreted-only and deliberately
-    # constructed directly; silence the compile_properties() shim
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        replay = ReplayMonitor(formula, name="rp")
+    # constructed directly
+    replay = ReplayMonitor(formula, name="rp")
     rng = random.Random(3)
     letters = [
         {"req0": rng.random() < 0.3, "gnt0": True} for _ in range(400)

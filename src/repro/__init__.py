@@ -19,10 +19,11 @@ A complete Python reproduction of Habibi & Tahar's DATE 2005 paper:
 * :mod:`repro.models` -- the two case studies: PCI (Table 1) and the
   generic Master/Slave bus (Table 2),
 * :mod:`repro.workbench` -- the unified verification-session API:
-  DUV registry, typed stages, pluggable engines, session reports,
-* :mod:`repro.flow` -- the Figure 1 pipeline as a preset plan (the
-  legacy ``DesignFlow`` entry point, deprecated),
-* :mod:`repro.cli` -- the ``python -m repro`` command line.
+  DUV registry, typed stages, pluggable engines, session reports, and
+  the Figure 1 pipeline as a preset plan
+  (:meth:`~repro.workbench.VerificationPlan.figure1`),
+* :mod:`repro.cli` -- the ``python -m repro`` command line, the one
+  command line of the package.
 
 Quickstart::
 

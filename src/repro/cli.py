@@ -9,6 +9,7 @@ One CLI over the :mod:`repro.workbench` session API::
     python -m repro regress  --model pci --scenarios 40 --shards 3 --json
     python -m repro regress  --model pci --hosts 10.0.0.5:8421,10.0.0.6:8421
     python -m repro regress  --model pci --shard 2/3 --json  # + --merge later
+    python -m repro regress  --spec-file specs.json --shards 2 --json
     python -m repro close    --model master_slave --json
     python -m repro flow     --model master_slave --json
     python -m repro checkpoint --model pci --cycles 200 --out run.ckpt
@@ -18,7 +19,10 @@ One CLI over the :mod:`repro.workbench` session API::
 translate -> ABV simulation -> scenario regression) and exits 0 iff
 the session verified.  All subcommands accept ``--json`` for
 machine-readable output; the session digest printed either way is
-byte-identical across worker counts.
+byte-identical across worker counts.  ``regress`` with
+``--spec-file``, ``--shard`` or ``--merge`` prints the raw regression
+report instead of a session report; its digest is byte-identical
+across workers, shards and hosts too.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .cliutil import (
     add_coordinator_arguments,
     add_hosts_argument,
     add_observability_arguments,
+    emit_regression_report,
+    load_shard_reports,
     observability_scope,
     positive_int,
     reject_hosts_conflict,
@@ -61,7 +67,9 @@ def _topology(text: str) -> List[int]:
 
 
 def _add_model_options(
-    parser: argparse.ArgumentParser, required: bool = True
+    parser: argparse.ArgumentParser,
+    required: bool = True,
+    topology: bool = True,
 ) -> None:
     parser.add_argument(
         "--model",
@@ -69,14 +77,15 @@ def _add_model_options(
         default=None,
         help="registered model name (see `python -m repro list`)",
     )
-    parser.add_argument(
-        "--topology",
-        type=_topology,
-        default=None,
-        metavar="N,N[,N]",
-        help="model topology, e.g. 2,2 (pci: masters,targets; "
-        "master_slave: blocking,non_blocking,slaves)",
-    )
+    if topology:
+        parser.add_argument(
+            "--topology",
+            type=_topology,
+            default=None,
+            metavar="N,N[,N]",
+            help="model topology, e.g. 2,2 (pci: masters,targets; "
+            "master_slave: blocking,non_blocking,slaves)",
+        )
     parser.add_argument("--seed", type=int, default=2005)
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable output"
@@ -86,8 +95,8 @@ def _add_model_options(
 
 def _workbench(options: argparse.Namespace) -> Workbench:
     registry = default_registry()
-    args = tuple(options.topology) if options.topology else ()
-    duv = registry.get(options.model, *args)
+    topology = getattr(options, "topology", None)
+    duv = registry.get(options.model, *(topology or ()))
     return Workbench(duv, seed=options.seed)
 
 
@@ -133,44 +142,17 @@ def _cmd_simulate(options: argparse.Namespace) -> int:
 
 def _cmd_regress(options: argparse.Namespace) -> int:
     if options.merge is not None:
-        from .cliutil import emit_regression_report, load_shard_reports
         from .dispatch import merge_reports
 
         return emit_regression_report(
             merge_reports(load_shard_reports(options.merge)), options.json
         )
-
-    if options.model is None:
-        raise SystemExit("error: --model is required (unless using --merge)")
-
-    if options.shard is not None:
-        # manual cross-host dispatch: run exactly shard K of N of the
-        # specs this model's full regression would build, and emit the
-        # raw shard report for a later --merge
-        from .cliutil import emit_regression_report
-        from .dispatch.planner import plan_shards
-        from .scenarios.regression import RegressionRunner, build_specs
-
-        workbench = _workbench(options)
-        if workbench.duv.scenario_model is None:
-            raise SystemExit(
-                f"error: model {options.model!r} has no scenario binding"
-            )
-        index, of = options.shard
-        specs = build_specs(
-            models=[workbench.duv.scenario_model],
-            count=options.scenarios,
-            base_seed=options.seed,
-            cycles=options.cycles,
-            with_monitors=options.with_monitors,
+    if options.spec_file is None and options.model is None:
+        raise SystemExit(
+            "error: --model is required (unless using --merge or --spec-file)"
         )
-        shard = plan_shards(specs, of)[index]
-        runner = RegressionRunner(
-            list(shard.specs),
-            workers=options.workers,
-            fail_fast=options.fail_fast,
-        )
-        return emit_regression_report(runner.run(), options.json)
+    if options.spec_file is not None or options.shard is not None:
+        return _regress_raw(options)
 
     workbench = _workbench(options)
     workbench.regress(
@@ -185,6 +167,88 @@ def _cmd_regress(options: argparse.Namespace) -> int:
         with_monitors=options.with_monitors,
     )
     return _emit(workbench.report(), options.json)
+
+
+def _regress_raw(options: argparse.Namespace) -> int:
+    """Run a spec list and print the raw ``RegressionReport``.
+
+    The specs come from ``--spec-file`` or are built for ``--model``;
+    ``--shard K/N`` keeps only shard K of them (manual cross-host
+    dispatch, folded back with ``--merge``).  ``--workers``,
+    ``--shards``, ``--hosts`` and ``--coordinator`` pick the engine as
+    they do for a session, so the digest is the serial one either way.
+    """
+    from .dispatch.planner import plan_shards
+    from .scenarios.regression import RegressionRunner, build_specs, load_specs
+    from .workbench.engines import fanout_engine
+
+    if options.spec_file is not None:
+        specs = load_specs(options.spec_file)
+    else:
+        scenario_model = default_registry().get(options.model).scenario_model
+        if scenario_model is None:
+            raise SystemExit(
+                f"error: model {options.model!r} has no scenario binding"
+            )
+        specs = build_specs(
+            models=[scenario_model],
+            count=options.scenarios,
+            base_seed=options.seed,
+            cycles=options.cycles,
+            with_monitors=options.with_monitors,
+        )
+    if options.shard is not None:
+        index, of = options.shard
+        specs = list(plan_shards(specs, of)[index].specs)
+    engine = fanout_engine(
+        options.workers,
+        options.shards,
+        options.hosts,
+        len(specs),
+        coordinator=options.coordinator,
+        token=options.token,
+    )
+    report = RegressionRunner(
+        specs, engine=engine, fail_fast=options.fail_fast
+    ).run()
+    outcome = getattr(engine, "last_outcome", None)
+    if outcome is not None:
+        for line in outcome.log_lines():
+            print(line, file=sys.stderr)
+    return emit_regression_report(report, options.json)
+
+
+#: Defaults of the ``regress`` flags that shape the specs built for
+#: ``--model``.  They parse as None so ``--spec-file``, which fixes
+#: every spec, can reject them when given explicitly.
+_SPEC_SHAPING_DEFAULTS = {"scenarios": 24, "cycles": 300, "seed": 2005}
+
+
+def _check_regress_flags(
+    parser: argparse.ArgumentParser, options: argparse.Namespace
+) -> None:
+    """Reject spec-shaping flags next to ``--spec-file``, then default them."""
+    if options.spec_file is not None:
+        given = [
+            flag
+            for flag, value in (
+                ("--model", options.model),
+                ("--scenarios", options.scenarios),
+                ("--cycles", options.cycles),
+                ("--seed", options.seed),
+                ("--merge", options.merge),
+            )
+            if value is not None
+        ]
+        if options.with_monitors:
+            given.append("--with-monitors")
+        if given:
+            parser.error(
+                f"--spec-file cannot be combined with {', '.join(given)}"
+            )
+    for name, default in _SPEC_SHAPING_DEFAULTS.items():
+        if getattr(options, name) is None:
+            setattr(options, name, default)
 
 
 def _cmd_close(options: argparse.Namespace) -> int:
@@ -358,12 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     regress = sub.add_parser(
-        "regress", help="constrained-random scoreboarded scenario regression"
+        "regress",
+        help="constrained-random scoreboarded scenario regression",
+        description="Run a seeded scenario regression as a session stage, "
+        "or -- with --spec-file, --shard or --merge -- print the raw "
+        "regression report.  The specs rotate through every topology of "
+        "the model, so regress takes no --topology.",
     )
-    # --model stays optional at parse time: --merge needs no model
-    _add_model_options(regress, required=False)
-    regress.add_argument("--scenarios", type=_positive_int, default=24)
-    regress.add_argument("--cycles", type=_positive_int, default=300)
+    # --model stays optional at parse time: --merge and --spec-file
+    # need no model
+    _add_model_options(regress, required=False, topology=False)
+    regress.set_defaults(seed=None)
+    regress.add_argument(
+        "--scenarios", type=_positive_int, default=None, help="default 24"
+    )
+    regress.add_argument(
+        "--cycles", type=_positive_int, default=None, help="default 300"
+    )
+    regress.add_argument(
+        "--spec-file",
+        default=None,
+        metavar="FILE",
+        help="run the spec list written by "
+        "repro.scenarios.regression.save_specs instead of building one "
+        "for --model, and print the raw regression report",
+    )
     regress.add_argument("--workers", type=int, default=None)
     sharding = regress.add_mutually_exclusive_group()
     sharding.add_argument(
@@ -529,8 +612,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
     reject_hosts_conflict(parser, options)
-    # stdout carries exactly one report; diagnostics (including the
-    # DesignFlow/RegressionRunner deprecation shims) go to stderr so
+    if options.command == "regress":
+        _check_regress_flags(parser, options)
+    # stdout carries exactly one report; diagnostics go to stderr so
     # --json output stays parseable
     route_warnings_to_stderr()
     # --trace/--metrics wrap the whole subcommand; report digests are

@@ -1,17 +1,16 @@
-"""Shared command-line plumbing for the ``repro`` CLIs.
+"""Command-line plumbing for ``python -m repro`` and the daemons.
 
-Both entry points (``python -m repro`` and ``python -m repro.scenarios``)
-speak the same dispatch vocabulary -- ``--shards N`` fans a regression
-over local subprocess hosts, ``--hosts host:port,...`` over remote
-``python -m repro.dispatch.worker`` daemons, ``--shard K/N`` runs one
+The dispatch vocabulary of ``python -m repro regress`` and ``close``
+-- ``--shards N`` fans a regression over local subprocess hosts,
+``--hosts host:port,...`` over remote ``python -m
+repro.dispatch.worker`` daemons, ``--shard K/N`` runs one
 deterministic shard for manual cross-host dispatch, ``--merge`` folds
-per-shard JSON reports back together -- so the argument parsing and
-the stdout/stderr hygiene live here once.
+per-shard JSON reports back together -- and the stdout/stderr hygiene
+the worker and coordinator daemons share live here once.
 
 The JSON-mode contract: **stdout is the report and nothing else**.
 Dispatchers and CI pipe ``--json`` output straight into a parser, so
-every diagnostic -- including :class:`DeprecationWarning` from the
-``DesignFlow``/``RegressionRunner`` shims -- must land on stderr.
+every diagnostic -- any warning included -- must land on stderr.
 :func:`route_warnings_to_stderr` pins that down regardless of what a
 caller (or an embedding process) did to ``warnings.showwarning``.
 """
@@ -66,7 +65,7 @@ def host_list(text: str) -> List:
 
 
 def add_hosts_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--hosts`` flag, worded identically on both CLIs."""
+    """The shared ``--hosts`` flag, worded identically on every subcommand."""
     parser.add_argument(
         "--hosts",
         type=host_list,
@@ -108,8 +107,8 @@ def reject_hosts_conflict(
     (``--shard``) or merge-only (``--merge``) invocation has no host
     pool to drive; ``--coordinator`` likewise owns the whole dispatch
     and additionally excludes ``--hosts``/``--shards`` (the
-    coordinator's own pool and planner take over).  Both CLIs get the
-    same ``parser.error`` behaviour (exit 2 plus usage).  As a side
+    coordinator's own pool and planner take over).  Every subcommand
+    gets the same ``parser.error`` behaviour (exit 2 plus usage).  As a side
     effect a ``--token`` is applied to every parsed ``--hosts`` entry,
     since the argparse type callback cannot see sibling flags.
     """
@@ -156,7 +155,7 @@ def emit_regression_report(report, as_json: bool) -> int:
 
 
 def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--trace`` / ``--metrics`` flags (both CLIs).
+    """The shared ``--trace`` / ``--metrics`` flags (every subcommand).
 
     Neither flag may change any report digest; traces land in the named
     file and the metrics summary on stderr, so ``--json`` stdout stays

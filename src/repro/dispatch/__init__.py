@@ -3,7 +3,7 @@
 The scaling tier above :mod:`repro.scenarios.regression`'s local
 ``multiprocessing`` fan-out.  A regression's spec list is partitioned
 into deterministic shards (:mod:`.planner`), each shard runs on a
-:class:`Host` -- a ``python -m repro.scenarios --shard K/N`` subprocess
+:class:`Host` -- a ``python -m repro regress --shard K/N`` subprocess
 on this machine (:mod:`.hosts`) or a ``python -m repro.dispatch.worker``
 HTTP daemon on another one (:mod:`.http_host` / :mod:`.worker`) -- and
 the per-shard reports fold back together in canonical spec order
@@ -17,7 +17,7 @@ Three ways in:
 
 * engine seam -- ``Workbench(...).regress(shards=3)`` or
   ``regress(hosts=parse_hosts("h1:8421,h2:8421"))``,
-* CLI -- ``python -m repro.scenarios --shards 3`` (local subprocess
+* CLI -- ``python -m repro regress --shards 3`` (local subprocess
   hosts), ``--hosts h1:8421,h2:8421`` (remote HTTP workers) or
   ``--shard K/N`` + ``--merge`` (manual cross-host dispatch),
 * direct -- ``ShardDispatcher(specs, shards=3).run()``.

@@ -34,8 +34,8 @@ Cache hit/miss counts are surfaced through ``OBS.metrics`` as
 :func:`compile_cache_stats` for the worker ``/healthz`` endpoint.
 
 :func:`compile_properties` is the public construction path for *all*
-monitors (both engines); direct ``Monitor`` subclass instantiation is
-deprecated outside this package.
+monitors (both engines); the ``lint.monitor-construction`` rule flags
+direct ``Monitor`` subclass instantiation outside this package.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from .monitor import (
     _as_sere,
     _consequent_is_strong,
     _HistoryMixin,
-    _sanctioned_construction,
     build_monitor,
     derivatives,
     history_depth,
@@ -1193,38 +1192,23 @@ def compile_property(
 
 def _build_plan(directive: Directive, engine: str) -> Callable[[], Monitor]:
     """Build the per-property monitor factory for one engine."""
+    def interpreted_plan() -> Monitor:
+        return build_monitor(directive)
+
     if engine == "interpreted":
-        def interpreted_plan() -> Monitor:
-            with _sanctioned_construction():
-                return build_monitor(directive)
-
         return interpreted_plan
-
     builder = _match_compiled(directive)
     if builder is None:
         # Transparent fallback: patterns (or SEREs) the table engine
         # cannot lower run on the interpreted engine instead.
-        def fallback_plan() -> Monitor:
-            with _sanctioned_construction():
-                return build_monitor(directive)
-
-        return fallback_plan
-
-    def compiled_plan() -> Monitor:
-        with _sanctioned_construction():
-            return builder()
-
+        return interpreted_plan
     # Compile eagerly once so unsupported SEREs surface now (and fall
     # back) rather than mid-regression.
     try:
-        compiled_plan()
+        builder()
     except PslUnsupportedError:
-        def unsupported_plan() -> Monitor:
-            with _sanctioned_construction():
-                return build_monitor(directive)
-
-        return unsupported_plan
-    return compiled_plan
+        return interpreted_plan
+    return builder
 
 
 def _match_compiled(directive: Directive) -> Optional[Callable[[], Monitor]]:

@@ -18,7 +18,17 @@ fail-fast break) must release the engine's resources.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, TypeVar, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+    TypeVar,
+    runtime_checkable,
+)
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
@@ -111,7 +121,7 @@ class ShardedEngine:
     ``imap`` partitions the items with the deterministic shard planner,
     hands shards to :class:`~repro.dispatch.Host`\\ s under the
     dispatcher's work-stealing schedule (default hosts: one ``python -m
-    repro.scenarios --shard`` subprocess per shard; pass a pool of
+    repro regress --shard`` subprocess per shard; pass a pool of
     :class:`~repro.dispatch.HttpHost` for remote ``python -m
     repro.dispatch.worker`` daemons), and yields the merged verdicts.
     Because shard reports cross the host boundary as JSON, the work
@@ -227,3 +237,42 @@ def resolve_engine(
     if workers == 1:
         return SerialEngine()
     return MultiprocessingEngine(workers, start_method=start_method)
+
+
+def fanout_engine(
+    workers: Optional[int],
+    shards: Optional[int],
+    hosts: Optional[Sequence[Any]],
+    n_specs: int,
+    coordinator: Optional[str] = None,
+    token: Optional[str] = None,
+) -> Engine:
+    """Engine for a scenario fan-out sized by the dispatch arguments.
+
+    ``coordinator`` (a daemon URL) wins over everything local: the
+    whole fan-out ships to the elastic fleet as one job, with
+    ``token`` as the fleet's shared bearer secret.  ``hosts`` (a
+    pool of :class:`~repro.dispatch.Host`\\ s, e.g. from
+    :func:`repro.dispatch.parse_hosts`) selects cross-host
+    dispatch with ``shards`` defaulting to the planner's
+    oversubscription so work stealing has a tail to rebalance;
+    plain ``shards=N`` fans over N local subprocess hosts; neither
+    falls back to the local serial/multiprocessing heuristic.
+    """
+    if coordinator:
+        return engine_from_name("coordinator", url=coordinator, token=token)
+    if hosts:
+        # imported lazily: repro.dispatch builds on repro.scenarios,
+        # which imports this module at its top level
+        from ..dispatch import shards_for_hosts
+
+        hosts = list(hosts)
+        return ShardedEngine(
+            shards or shards_for_hosts(len(hosts), n_specs),
+            hosts=hosts,
+            workers_per_shard=workers,
+        )
+    if shards is not None:
+        # ``workers`` keeps its meaning inside each shard host
+        return ShardedEngine(shards, workers_per_shard=workers)
+    return resolve_engine(workers, n_specs)

@@ -45,7 +45,7 @@ from ..translate.csharp_gen import render_monitor_suite
 from ..translate.runtime import build_runtime
 from ..translate.systemc_gen import render_translation_unit
 from .duv import DUV, CoverageResidue
-from .engines import Engine, ShardedEngine, engine_from_name, resolve_engine
+from .engines import Engine, fanout_engine
 from .plan import STAGE_NAMES, VerificationPlan
 from .registry import ModelRegistry, default_registry
 from .stages import (
@@ -462,43 +462,6 @@ class Workbench:
             payload={"report": report, "harness": harness},
         )
 
-    def _dispatch_engine(
-        self,
-        workers: Optional[int],
-        shards: Optional[int],
-        hosts: Optional[Sequence[Any]],
-        n_specs: int,
-        coordinator: Optional[str] = None,
-        token: Optional[str] = None,
-    ) -> Engine:
-        """Engine for a scenario fan-out sized by the stage arguments.
-
-        ``coordinator`` (a daemon URL) wins over everything local: the
-        whole fan-out ships to the elastic fleet as one job, with
-        ``token`` as the fleet's shared bearer secret.  ``hosts`` (a
-        pool of :class:`~repro.dispatch.Host`\\ s, e.g. from
-        :func:`repro.dispatch.parse_hosts`) selects cross-host
-        dispatch with ``shards`` defaulting to the planner's
-        oversubscription so work stealing has a tail to rebalance;
-        plain ``shards=N`` fans over N local subprocess hosts; neither
-        falls back to the local serial/multiprocessing heuristic.
-        """
-        if coordinator:
-            return engine_from_name("coordinator", url=coordinator, token=token)
-        if hosts:
-            from ..dispatch import shards_for_hosts
-
-            hosts = list(hosts)
-            return ShardedEngine(
-                shards or shards_for_hosts(len(hosts), n_specs),
-                hosts=hosts,
-                workers_per_shard=workers,
-            )
-        if shards is not None:
-            # ``workers`` keeps its meaning inside each shard host
-            return ShardedEngine(shards, workers_per_shard=workers)
-        return resolve_engine(workers, n_specs)
-
     def _dispatch_facts(self, outcome: Any, stage: str) -> Dict[str, Any]:
         """Run facts for one finished dispatch (metrics-side only).
 
@@ -659,7 +622,7 @@ class Workbench:
         # only size the default engine
         engine = self.engine
         if engine is None:
-            engine = self._dispatch_engine(
+            engine = fanout_engine(
                 workers, shards, hosts, len(specs),
                 coordinator=coordinator, token=token,
             )
@@ -929,7 +892,7 @@ class Workbench:
             specs = [spec for _, spec in planned]
             engine = self.engine
             if engine is None:
-                engine = self._dispatch_engine(
+                engine = fanout_engine(
                     workers, shards, hosts, len(specs),
                     coordinator=coordinator, token=token,
                 )

@@ -14,12 +14,6 @@ from repro.abv import AbvHarness, CoverageCollector, FailureAction
 from repro.sysc import Clock, ReportHandler, Signal, Simulator, ns
 
 
-def direct(cls, *args, **kwargs):
-    """Instantiate a monitor class directly, expecting the shim warning."""
-    with pytest.warns(DeprecationWarning, match="direct Monitor construction"):
-        return cls(*args, **kwargs)
-
-
 def make_design():
     """A toggling design: p alternates, q mirrors p one cycle late."""
     sim = Simulator()
@@ -219,7 +213,7 @@ class TestFinish:
     def test_uncovered_cover_warns(self):
         sim, clock, p, q = make_design()
         harness = AbvHarness(sim, clock, lambda: {"p": p.read(), "z": False})
-        cover = direct(CoverMonitor, parse_sere("z"), "cover_z")
+        cover = CoverMonitor(parse_sere("z"), "cover_z")
         harness.add_monitor(cover)
         sim.run(ns(10) * 10)
         harness.finish()
@@ -260,7 +254,7 @@ class TestCoverageCollector:
         )
         follow = build_monitor(parse_formula("always {p} |=> {q}"), "follow")
         ghost = build_monitor(parse_formula("always {z} |=> {q}"), "ghost")
-        cover = direct(CoverMonitor, parse_sere("p ; q"), "cov_pq")
+        cover = CoverMonitor(parse_sere("p ; q"), "cov_pq")
         harness.add_monitors([follow, ghost, cover])
         sim.run(ns(10) * 30)
         collector = CoverageCollector([follow, ghost, cover])

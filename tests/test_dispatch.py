@@ -315,54 +315,85 @@ class TestShardedEngine:
 
 
 class TestCli:
-    """--shards / --shard K/N / --merge on both command lines."""
+    """--spec-file / --shards / --shard K/N / --merge on ``repro regress``."""
 
-    def _scenarios_main(self, argv, capsys):
-        from repro.scenarios.regression import main
+    def _regress(self, argv, capsys):
+        from repro.cli import main
 
-        code = main(argv)
+        code = main(["regress", *argv])
         return code, capsys.readouterr()
 
+    def _spec_file(self, tmp_path):
+        path = str(tmp_path / "specs.json")
+        save_specs(SPECS, path)
+        return path
+
     def test_manual_shard_merge_round_trip(self, tmp_path, capsys, serial_report):
-        base = ["--scenarios", "6", "--cycles", "120", "--json"]
+        base = ["--spec-file", self._spec_file(tmp_path), "--json"]
         paths = []
         for k in (1, 2):
-            code, captured = self._scenarios_main(
-                base + ["--shard", f"{k}/2"], capsys
-            )
+            code, captured = self._regress(base + ["--shard", f"{k}/2"], capsys)
             assert code == 0
             path = tmp_path / f"s{k}.json"
             path.write_text(captured.out)
             paths.append(str(path))
-        code, captured = self._scenarios_main(
-            ["--merge", *paths, "--json"], capsys
-        )
+        code, captured = self._regress(["--merge", *paths, "--json"], capsys)
         assert code == 0
         merged = json.loads(captured.out)
         assert merged["digest"] == serial_report.digest()
         assert merged["scenarios"] == 6
 
     def test_spec_file_run(self, tmp_path, capsys, serial_report):
-        path = str(tmp_path / "specs.json")
-        save_specs(SPECS, path)
-        code, captured = self._scenarios_main(
-            ["--spec-file", path, "--workers", "1", "--json"], capsys
+        code, captured = self._regress(
+            ["--spec-file", self._spec_file(tmp_path), "--workers", "1",
+             "--json"],
+            capsys,
         )
         assert code == 0
         assert json.loads(captured.out)["digest"] == serial_report.digest()
 
+    def test_spec_file_digest_matches_runner_across_dispatch(
+        self, tmp_path, capsys
+    ):
+        """Serial, --shards 2 and --shard + --merge all print the digest
+        of ``RegressionRunner(load_specs(F)).run()``."""
+        path = self._spec_file(tmp_path)
+        expected = RegressionRunner(load_specs(path)).run().digest()
+        digests = {}
+        for mode, extra in (("serial", []), ("shards", ["--shards", "2"])):
+            code, captured = self._regress(
+                ["--spec-file", path, *extra, "--json"], capsys
+            )
+            assert code == 0
+            digests[mode] = json.loads(captured.out)["digest"]
+        shard_paths = []
+        for k in (1, 2):
+            code, captured = self._regress(
+                ["--spec-file", path, "--shard", f"{k}/2", "--json"], capsys
+            )
+            assert code == 0
+            shard_path = tmp_path / f"shard{k}.json"
+            shard_path.write_text(captured.out)
+            shard_paths.append(str(shard_path))
+        code, captured = self._regress(
+            ["--merge", *shard_paths, "--json"], capsys
+        )
+        assert code == 0
+        digests["merge"] = json.loads(captured.out)["digest"]
+        assert digests == dict.fromkeys(digests, expected)
+
     def test_shard_flags_are_mutually_exclusive(self, capsys):
-        from repro.scenarios.regression import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["--shards", "2", "--shard", "1/2"])
+            main(["regress", "--shards", "2", "--shard", "1/2"])
 
     def test_bad_shard_coordinate_rejected(self, capsys):
-        from repro.scenarios.regression import main
+        from repro.cli import main
 
         for bad in ("3/2", "0/2", "x/y"):
             with pytest.raises(SystemExit):
-                main(["--shard", bad])
+                main(["regress", "--model", "pci", "--shard", bad])
 
     def test_repro_cli_shard_and_merge(self, tmp_path, capsys):
         from repro.cli import main
@@ -395,7 +426,7 @@ class TestCli:
 
 
 class TestWarningHygiene:
-    """JSON stdout must stay parseable even when shims warn (satellite)."""
+    """JSON stdout must stay parseable even when something warns."""
 
     def test_route_warnings_to_stderr_pins_the_stream(self):
         code = (
@@ -416,18 +447,19 @@ class TestWarningHygiene:
         assert json.loads(result.stdout) == {"ok": True}
         assert "shim says hello" in result.stderr
 
-    def test_scenarios_json_stream_is_pure_json_under_w_default(self):
+    def test_scenarios_json_stream_is_pure_json_under_w_default(self, tmp_path):
+        spec_file = str(tmp_path / "specs.json")
+        save_specs(build_specs(count=2, cycles=100), spec_file)
         result = subprocess.run(
             [
                 sys.executable,
                 "-W",
                 "default",
                 "-m",
-                "repro.scenarios",
-                "--scenarios",
-                "2",
-                "--cycles",
-                "100",
+                "repro",
+                "regress",
+                "--spec-file",
+                spec_file,
                 "--workers",
                 "1",
                 "--json",

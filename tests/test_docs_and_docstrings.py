@@ -65,3 +65,34 @@ class TestDocsTree:
         assert "docs/architecture.md" in readme
         assert "docs/dispatch.md" in readme
         assert "docs/cli.md" in readme
+
+
+class TestRetiredEntryPoints:
+    """``python -m repro`` is the one command line and the Workbench the
+    one Figure 1 front end; nothing may point at the retired ones."""
+
+    RETIRED = ("python -m repro.scenarios", "repro.flow", "DesignFlow")
+    SCANNED = ("src", "docs", "examples", "benchmarks", "tools", ".github",
+               ".claude", "README.md")
+
+    def test_no_reference_to_retired_entry_points(self):
+        hits = []
+        for name in self.SCANNED:
+            root = REPO_ROOT / name
+            paths = [root] if root.is_file() else sorted(root.rglob("*"))
+            for path in paths:
+                if not path.is_file() or "__pycache__" in path.parts:
+                    continue
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError:
+                    continue
+                # whitespace-folded, so a reference wrapped over two
+                # lines is caught too
+                flat = " ".join(text.split())
+                hits.extend(
+                    f"{path.relative_to(REPO_ROOT)}: {needle}"
+                    for needle in self.RETIRED
+                    if needle in flat
+                )
+        assert not hits, "\n".join(hits)

@@ -383,11 +383,15 @@ class TestCliFlags:
         assert OBS.enabled is False
 
     def test_scenarios_cli_accepts_flags(self, tmp_path, capsys):
-        from repro.scenarios.regression import main as regression_main
+        """The raw ``regress --spec-file`` report path takes --trace."""
+        from repro.cli import main as repro_main
+        from repro.scenarios.regression import save_specs
 
+        spec_file = str(tmp_path / "specs.json")
+        save_specs(build_specs(count=3, cycles=100), spec_file)
         trace_path = tmp_path / "scen.jsonl"
-        code = regression_main(
-            ["--scenarios", "3", "--cycles", "100", "--workers", "1",
+        code = repro_main(
+            ["regress", "--spec-file", spec_file, "--workers", "1",
              "--json", "--trace", str(trace_path)]
         )
         assert code == 0

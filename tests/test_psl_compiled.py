@@ -27,7 +27,6 @@ from repro.models.pci.properties import (
     pci_safety_properties,
 )
 from repro.psl import (
-    BooleanInvariantMonitor,
     Verdict,
     compile_properties,
     parse_formula,
@@ -287,9 +286,7 @@ class TestCompileApi:
 
 
 class TestDeprecationShim:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="direct Monitor construction"):
-            BooleanInvariantMonitor(parse_formula("p").expr, True, "inv")
+    """The construction shim is gone; the public path stays silent."""
 
     def test_compile_properties_does_not_warn(self):
         with warnings.catch_warnings():

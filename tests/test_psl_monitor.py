@@ -28,16 +28,6 @@ def trace(*bits: str) -> list[dict]:
     return [{n: n in cycle for n in names} for cycle in bits]
 
 
-def direct(cls, *args, **kwargs):
-    """Instantiate a monitor class directly, expecting the shim warning.
-
-    These tests exercise the interpreted monitor classes on purpose;
-    everything else goes through ``compile_properties``.
-    """
-    with pytest.warns(DeprecationWarning, match="direct Monitor construction"):
-        return cls(*args, **kwargs)
-
-
 class TestDerivatives:
     def view(self, **letter):
         return _LetterView([letter])
@@ -77,11 +67,11 @@ class TestDerivatives:
 
 class TestBooleanInvariantMonitor:
     def test_always_holds(self):
-        monitor = direct(BooleanInvariantMonitor, parse_formula("p").expr, True, "inv")
+        monitor = BooleanInvariantMonitor(parse_formula("p").expr, True, "inv")
         assert run_monitor(monitor, trace("p", "p")) is Verdict.HOLDS
 
     def test_always_fails_and_latches(self):
-        monitor = direct(BooleanInvariantMonitor, parse_formula("p").expr, True, "inv")
+        monitor = BooleanInvariantMonitor(parse_formula("p").expr, True, "inv")
         monitor.reset()
         monitor.step({"p": True})
         monitor.step({"p": False})
@@ -92,7 +82,7 @@ class TestBooleanInvariantMonitor:
         assert monitor.verdict() is Verdict.FAILS
 
     def test_never(self):
-        monitor = direct(BooleanInvariantMonitor, parse_formula("q").expr, False, "nev")
+        monitor = BooleanInvariantMonitor(parse_formula("q").expr, False, "nev")
         assert run_monitor(monitor, trace("p", "q")) is Verdict.FAILS
 
 
@@ -133,28 +123,27 @@ class TestSuffixImplicationMonitor:
 
 class TestOtherMonitors:
     def test_never_sere(self):
-        monitor = direct(NeverSereMonitor, parse_sere("q ; q"), "nosq")
+        monitor = NeverSereMonitor(parse_sere("q ; q"), "nosq")
         assert run_monitor(monitor, trace("q", "p", "q")) is Verdict.HOLDS
         assert run_monitor(monitor, trace("p", "q", "q")) is Verdict.FAILS
 
     def test_cover_counts_hits(self):
-        monitor = direct(CoverMonitor, parse_sere("p ; q"), "cov")
+        monitor = CoverMonitor(parse_sere("p ; q"), "cov")
         run_monitor(monitor, trace("p", "q", "p", "q"), stop_early=False)
         assert monitor.hits == 2
         assert monitor.verdict() is Verdict.HOLDS_STRONGLY
 
     def test_cover_uncovered_pending(self):
-        monitor = direct(CoverMonitor, parse_sere("p ; q"), "cov")
+        monitor = CoverMonitor(parse_sere("p ; q"), "cov")
         assert run_monitor(monitor, trace("p", "p")) is Verdict.PENDING
 
     def test_eventually(self):
-        monitor = direct(EventuallyMonitor, parse_formula("p").expr, "ev")
+        monitor = EventuallyMonitor(parse_formula("p").expr, "ev")
         assert run_monitor(monitor, trace("", "")) is Verdict.PENDING
         assert run_monitor(monitor, trace("", "p")) is Verdict.HOLDS_STRONGLY
 
     def test_boolean_until(self):
-        monitor = direct(
-            BooleanUntilMonitor,
+        monitor = BooleanUntilMonitor(
             parse_formula("p").expr, parse_formula("q").expr, strong=True,
         )
         assert run_monitor(monitor, trace("p", "pq")) is Verdict.HOLDS_STRONGLY
@@ -162,7 +151,7 @@ class TestOtherMonitors:
         assert run_monitor(monitor, trace("", "q") [:1]) is Verdict.FAILS
 
     def test_replay_monitor_general(self):
-        monitor = direct(ReplayMonitor, parse_formula("eventually! (p && next q)"), "rp")
+        monitor = ReplayMonitor(parse_formula("eventually! (p && next q)"), "rp")
         assert run_monitor(monitor, trace("", "p", "q")) is Verdict.HOLDS_STRONGLY
 
 

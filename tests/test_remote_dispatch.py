@@ -48,6 +48,7 @@ from repro.scenarios.regression import (
     RegressionRunner,
     ScenarioSpec,
     build_specs,
+    save_specs,
 )
 from repro.workbench import SerialEngine, Workbench
 
@@ -616,21 +617,27 @@ class TestSubprocessReaping:
 
 
 class TestCliHosts:
-    """--hosts flag plumbing on both CLIs."""
+    """--hosts flag plumbing on ``repro regress``."""
 
-    def test_scenarios_cli_hosts_matches_serial(self, worker_pair, capsys):
-        from repro.scenarios.regression import main
+    def test_scenarios_cli_hosts_matches_serial(
+        self, worker_pair, capsys, tmp_path
+    ):
+        """The raw ``--spec-file`` report over --hosts keeps the serial
+        digest."""
+        from repro.cli import main
 
+        specs = build_specs(count=6, cycles=120)
+        spec_file = str(tmp_path / "specs.json")
+        save_specs(specs, spec_file)
         addresses = ",".join(w.address for w in worker_pair)
         code = main(
-            ["--scenarios", "6", "--cycles", "120", "--hosts", addresses, "--json"]
+            ["regress", "--spec-file", spec_file, "--hosts", addresses,
+             "--json"]
         )
         captured = capsys.readouterr()
         assert code == 0
         doc = json.loads(captured.out)
-        serial = RegressionRunner(
-            build_specs(count=6, cycles=120), engine=SerialEngine()
-        ).run()
+        serial = RegressionRunner(specs, engine=SerialEngine()).run()
         assert doc["digest"] == serial.digest()
         assert "stealing schedule" in captured.err
 
@@ -662,15 +669,11 @@ class TestCliHosts:
         serial = RegressionRunner(specs, engine=SerialEngine()).run()
         assert regress["data"]["regression_digest"] == serial.digest()
 
-    def test_hosts_conflicts_with_shard_and_merge(self):
-        from repro.cli import main as repro_main
-        from repro.scenarios.regression import main as scenarios_main
+    def test_hosts_conflicts_with_shard_and_merge(self, tmp_path):
+        from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            scenarios_main(["--hosts", "127.0.0.1:8421", "--shard", "1/2"])
-        assert excinfo.value.code == 2       # parser.error: usage + exit 2
-        with pytest.raises(SystemExit) as excinfo:
-            repro_main(
+            main(
                 [
                     "regress",
                     "--model",
@@ -681,13 +684,19 @@ class TestCliHosts:
                     "1/2",
                 ]
             )
-        assert excinfo.value.code == 2       # same behaviour on both CLIs
+        assert excinfo.value.code == 2       # parser.error: usage + exit 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["regress", "--hosts", "127.0.0.1:8421", "--merge",
+                 str(tmp_path / "s1.json")]
+            )
+        assert excinfo.value.code == 2
 
     def test_bad_hosts_string_rejected(self):
-        from repro.scenarios.regression import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["--hosts", "nonsense", "--scenarios", "2"])
+            main(["regress", "--model", "pci", "--hosts", "nonsense"])
 
 
 def _dead_address() -> str:

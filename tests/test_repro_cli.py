@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main as repro_main
-from repro.scenarios.regression import main as regression_main
+from repro.scenarios.regression import build_specs, save_specs
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,17 @@ class TestRegress:
         assert stage["data"]["regression_digest"]
         assert stage["data"]["scenarios"] == 3
 
+    def test_regress_rejects_topology(self, capsys):
+        """``build_specs`` rotates topologies per spec, so a --topology
+        on ``regress`` would be silently ignored; it is a usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(
+                ["regress", "--model", "pci", "--topology", "3,2",
+                 "--scenarios", "1", "--cycles", "20"]
+            )
+        assert excinfo.value.code == 2
+        assert "--topology" in capsys.readouterr().err
+
 
 class TestClose:
     def test_close_json_reports_achieved_transitions(self, capsys):
@@ -94,30 +105,6 @@ class TestClose:
         assert close["ok"]
         assert close["data"]["achieved"] > 0
         assert close["data"]["residue"]["transition_coverage"] > 0
-
-    def test_scenarios_directed_mode(self, capsys):
-        code = regression_main(
-            [
-                "--models",
-                "master_slave",
-                "--directed",
-                "--rounds",
-                "1",
-                "--cycles",
-                "140",
-                "--json",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["master_slave"]["data"]["achieved"] > 0
-
-    def test_directed_rejects_regression_only_flags(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            regression_main(["--directed", "--shard", "1/2"])
-        assert excinfo.value.code == 2
-        assert "--shard" in capsys.readouterr().err
 
 
 class TestFlow:
@@ -153,15 +140,16 @@ class TestFlow:
 
 
 class TestScenariosJson:
-    def test_regression_cli_emits_json(self, capsys):
-        code = regression_main(
-            [
-                "--models", "master_slave",
-                "--scenarios", "3", "--cycles", "150", "--workers", "1",
-                "--json",
-            ]
+    """``regress --spec-file`` prints the raw scenario regression report."""
+
+    def test_regression_cli_emits_json(self, capsys, tmp_path):
+        path = str(tmp_path / "specs.json")
+        save_specs(
+            build_specs(models=["master_slave"], count=3, cycles=150), path
         )
-        out = capsys.readouterr().out
+        code, out = run_cli(
+            capsys, "regress", "--spec-file", path, "--workers", "1", "--json"
+        )
         assert code == 0
         doc = json.loads(out)
         assert doc["ok"] is True
@@ -170,18 +158,39 @@ class TestScenariosJson:
         assert len(doc["verdicts"]) == 3
         assert doc["verdicts"][0]["scoreboard_digest"]
 
-    def test_regression_cli_profile_restriction(self, capsys):
-        code = regression_main(
-            [
-                "--models", "master_slave",
-                "--scenarios", "4", "--cycles", "150", "--workers", "1",
-                "--profiles", "bursty", "--json",
-            ]
+    def test_regression_cli_profile_restriction(self, capsys, tmp_path):
+        """Profile restriction lives in the spec file, which runs as is."""
+        path = str(tmp_path / "specs.json")
+        save_specs(
+            build_specs(
+                models=["master_slave"], count=4, cycles=150,
+                profiles=["bursty"],
+            ),
+            path,
         )
-        out = capsys.readouterr().out
+        code, out = run_cli(
+            capsys, "regress", "--spec-file", path, "--workers", "1", "--json"
+        )
         assert code == 0
         doc = json.loads(out)
         assert {v["profile"] for v in doc["verdicts"]} == {"bursty"}
+
+    def test_spec_file_rejects_spec_shaping_flags(self, capsys, tmp_path):
+        path = str(tmp_path / "specs.json")
+        save_specs(build_specs(models=["pci"], count=1, cycles=50), path)
+        for extra in (
+            ["--model", "pci"],
+            ["--scenarios", "4"],
+            ["--cycles", "100"],
+            ["--seed", "0"],
+            ["--with-monitors"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                repro_main(["regress", "--spec-file", path, *extra])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "--spec-file cannot be combined with" in err
+            assert extra[0] in err
 
 
 class TestModuleEntryPoint:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.asm import AsmModel
-from repro.flow import DesignFlow
 from repro.psl import Property, parse_formula
 from repro.scenarios.regression import (
     MODELS,
@@ -13,6 +12,13 @@ from repro.scenarios.regression import (
     run_scenario,
 )
 from repro.scenarios.scoreboard import FaultPlan
+from repro.workbench import (
+    DUV,
+    StageCall,
+    StageStatus,
+    VerificationPlan,
+    Workbench,
+)
 from conftest import ToyArbiter, ToyMaster
 
 
@@ -127,6 +133,9 @@ class TestFlowStage:
     a toy arbiter keeps the formal and ABV legs fast."""
 
     def _flow(self, specs):
+        """Run Figure 1 on the toy design, regressing ``specs`` (the
+        regress stage is left out when there are none)."""
+
         def factory() -> AsmModel:
             model = AsmModel("toy")
             ToyMaster(model=model, name="m0")
@@ -136,24 +145,24 @@ class TestFlowStage:
             return model
 
         mutex = Property("mutex", parse_formula("never (m0.m_gnt && m1.m_gnt)"))
-        # the shim's deprecation warning is asserted, never leaked (the
-        # pytest filterwarnings config errors on a bare one)
-        with pytest.warns(DeprecationWarning, match="DesignFlow is deprecated"):
-            return DesignFlow(
-                model_factory=factory,
-                directives=[mutex],
-                scenario_specs=specs,
-                scenario_workers=1,
-            )
+        duv = DUV(name="toy", model_factory=factory, directives=[mutex])
+        stages = [
+            call
+            for call in VerificationPlan.figure1(cycles=300).stages
+            if call.stage != "regress"
+        ]
+        if specs:
+            stages.append(StageCall.of("regress", specs=tuple(specs), workers=1))
+        return Workbench(duv).run_plan(VerificationPlan("figure1", tuple(stages)))
 
     def test_flow_runs_scenario_regression_stage(self):
         specs = build_specs(count=4, cycles=150)
-        report = self._flow(specs).run(cycles=300)
+        report = self._flow(specs)
         assert report.ok
-        assert report.regression is not None
-        assert report.regression.ok
-        assert len(report.regression.verdicts) == 4
-        assert "scenario regression" in report.summary()
+        regress = report.stage("regress")
+        assert regress is not None and regress.ok
+        assert len(regress.payload["report"].verdicts) == 4
+        assert "[PASSED] regress: 4 scenarios" in report.summary()
 
     def test_flow_fails_when_regression_fails(self):
         specs = [
@@ -162,12 +171,13 @@ class TestFlowStage:
                 fault=FaultPlan("drop", unit=0, nth=1),
             )
         ]
-        report = self._flow(specs).run(cycles=300)
-        assert report.regression is not None
-        assert not report.regression.ok
+        report = self._flow(specs)
+        regress = report.stage("regress")
+        assert regress.status is StageStatus.FAILED
+        assert not regress.payload["report"].ok
         assert not report.ok
 
     def test_flow_without_specs_skips_stage(self):
-        report = self._flow(()).run(cycles=300)
-        assert report.regression is None
+        report = self._flow(())
+        assert report.stage("regress") is None
         assert report.ok

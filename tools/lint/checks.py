@@ -3,8 +3,8 @@
 ``lint.monitor-construction``
     PR 8 made :func:`repro.psl.compile_properties` the single monitor
     construction API; direct ``Monitor`` subclass instantiation
-    outside ``src/repro/psl/`` bypasses the engine selection, the
-    shared-automaton cache and the deprecation shim.
+    outside ``src/repro/psl/`` bypasses the engine selection and the
+    shared-automaton cache.
 ``lint.wall-clock``
     Digest-bearing code must not read the wall clock: ``time.time``,
     ``time.localtime``/``ctime`` and ``datetime.now``/``utcnow``/
